@@ -20,17 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .diagram import Diagram, TileKind, _fast_valid, validate
-from .errors import IdentityPermutation, InvalidDiagram, SizeLimit
-from .moves import enumerate_unpaired
-from .oracle import q_interval
-from .perm import (
-    Permutation,
-    enumerate_symmetric_group,
-    is_bruhat_cover,
-    is_quantum_lower,
-    right_multiply_transposition,
-    transition_setup,
-)
+from .errors import IdentityPermutation, InvalidDiagram, OutOfRange, SizeLimit
+from .moves import _closure
+from .oracle import transition_rhs
+from .perm import Permutation, enumerate_symmetric_group, length
 from .polyring import Poly
 
 __all__ = [
@@ -43,14 +36,13 @@ __all__ = [
     "qbpd_polynomial",
     "cancellation_stats",
     "stats_for_group",
+    "summarize",
     "sweep",
     "is_cancellation_free",
     "is_classical_bpd",
     "verify_transition",
 ]
 
-_SW = int(TileKind.SW)
-_NS = int(TileKind.NS)
 _X = int(TileKind.CROSS)
 _B = int(TileKind.BLANK)
 _S_SIDE = 2
@@ -84,33 +76,26 @@ class SweepSummary:
 
 
 def _raw_weight_cells(flat, n: int, traces):
-    """0-based (blanks, upward-cross cells, negative cells) of a valid grid."""
+    """0-based (blanks, q cells, -q cells) of a valid unpaired grid.
+
+    Every cell a pipe enters from the south carries q of its row: +q for
+    the vertical strand of a CROSS, -q for a vertical tile or a SW corner
+    (a SW corner can only be entered from the south).
+    """
     blanks = [divmod(i, n) for i, t in enumerate(flat) if t == _B]
-    up = {
-        divmod(idx, n)
-        for steps in traces
-        for idx, entry, out in steps
-        if entry == _S_SIDE
-    }
-    q_cross = [(r, c) for (r, c) in up if flat[r * n + c] == _X]
-    nq = [(r, c) for (r, c) in up if flat[r * n + c] == _NS]
-    nq += [divmod(i, n) for i, t in enumerate(flat) if t == _SW]
+    up = [idx for steps in traces for idx, entry, _ in steps if entry == _S_SIDE]
+    q_cross = [divmod(i, n) for i in up if flat[i] == _X]
+    nq = [divmod(i, n) for i in up if flat[i] != _X]
     return blanks, q_cross, nq
-
-
-def _checked(D: Diagram):
-    problems = validate(D)
-    if problems:
-        raise InvalidDiagram(problems)
-    fv = _fast_valid(D.flat(), D.n)
-    assert fv is not None
-    return fv
 
 
 def weight_cells(D: Diagram) -> WeightCells:
     """Classify the cells of a valid diagram by their weight contribution."""
-    _, traces = _checked(D)
+    problems = validate(D)
+    if problems:
+        raise InvalidDiagram(problems)
     flat = D.flat()
+    _, traces = _fast_valid(flat, D.n)
     blanks, q_cross, nq = _raw_weight_cells(flat, D.n, traces)
     covered = {(r, c) for (r, c) in D.dominoes} | {
         (r + 1, c) for (r, c) in D.dominoes
@@ -123,28 +108,26 @@ def weight_cells(D: Diagram) -> WeightCells:
     return WeightCells(E=E, Q=Q, NQ=NQ)
 
 
-def bwt(D: Diagram) -> Poly:
-    """Binomial weight: (-1)^{|NQ|} prod_E (x_i - y_j) prod_{Q u NQ} q_i."""
+def _weight(D: Diagram, e_factor) -> Poly:
+    """(-1)^{|NQ|} prod_{Q u NQ} q_i times ``e_factor(i, j, n)`` over E."""
     cells = weight_cells(D)
     n = D.n
     acc = Poly.const((-1) ** len(cells.NQ), n)
     for r, _ in sorted(cells.Q) + sorted(cells.NQ):
         acc = acc * Poly.q(r, n)
     for r, c in sorted(cells.E):
-        acc = acc * Poly.x_minus_y(r, c, n)
+        acc = acc * e_factor(r, c, n)
     return acc
+
+
+def bwt(D: Diagram) -> Poly:
+    """Binomial weight: (-1)^{|NQ|} prod_E (x_i - y_j) prod_{Q u NQ} q_i."""
+    return _weight(D, Poly.x_minus_y)
 
 
 def wt(D: Diagram) -> Poly:
     """Monomial weight: prod_E x_i prod_Q q_i prod_NQ (-q_i)."""
-    cells = weight_cells(D)
-    n = D.n
-    acc = Poly.const((-1) ** len(cells.NQ), n)
-    for r, _ in sorted(cells.Q) + sorted(cells.NQ):
-        acc = acc * Poly.q(r, n)
-    for r, _ in sorted(cells.E):
-        acc = acc * Poly.x(r, n)
-    return acc
+    return _weight(D, lambda i, j, n: Poly.x(i, n))
 
 
 def is_classical_bpd(D: Diagram) -> bool:
@@ -157,95 +140,116 @@ def is_classical_bpd(D: Diagram) -> bool:
 # the generating sum and its statistics
 
 
-def _matchings(blanks: set[tuple[int, int]]):
-    """Yield all matchings of vertically adjacent blank pairs (upper cells)."""
-    edges = sorted((r, c) for (r, c) in blanks if (r + 1, c) in blanks)
+def _field_width(n: int) -> int:
+    """Bits per slot of a packed key of Poly's flat layout; slot s at s * width.
 
-    def go(i: int, used: set, chosen: tuple):
-        if i == len(edges):
-            yield chosen
-            return
-        yield from go(i + 1, used, chosen)
-        r, c = edges[i]
-        if (r, c) not in used and (r + 1, c) not in used:
-            yield from go(i + 1, used | {(r, c), (r + 1, c)}, chosen + ((r, c),))
-
-    yield from go(0, set(), ())
+    Keys only multiply within one diagram's weight, whose exponents are at
+    most n (a cell adds at most one x_i or q_i of its row or y_j of its
+    column), so the fields never carry.
+    """
+    width = (n + 1).bit_length()
+    assert n < 1 << width
+    return width
 
 
-def _expand_weight(acc: dict, n: int, sign: int, qrows, cells) -> None:
-    """Add the expansion of one binomial weight into the accumulator."""
-    width = 3 * n - 1
-    key = [0] * width
-    for r in qrows:
-        key[2 * n + r] += 1
-    terms = {tuple(key): sign}
-    for r, c in cells:
-        xs, ys = r, n + c
-        new: dict = {}
-        get = new.get
-        for k, cf in terms.items():
-            lk = list(k)
-            lk[xs] += 1
-            t = tuple(lk)
-            v = get(t, 0) + cf
-            if v:
-                new[t] = v
-            elif t in new:
-                del new[t]
-            lk[xs] -= 1
-            lk[ys] += 1
-            t = tuple(lk)
-            v = get(t, 0) - cf
-            if v:
-                new[t] = v
-            elif t in new:
-                del new[t]
-        terms = new
-    get = acc.get
-    for k, cf in terms.items():
-        v = get(k, 0) + cf
-        if v:
-            acc[k] = v
-        elif k in acc:
-            del acc[k]
+def _run_terms(c: int, r0: int, r1: int, x, y, q):
+    """Packed terms of the blank run r0..r1 of column c over all pairings.
+
+    The continuant R_k = (x_{r_k} - y_c) R_{k-1} + q_{r_{k-1}} R_{k-2}:
+    the run's last cell is either a lone binomial or the lower half of a
+    domino weighted by q of its upper row.
+    """
+    prev: dict = {}
+    cur = {0: 1}
+    for r in range(r0, r1 + 1):
+        nxt: dict = {}
+        for k, v in cur.items():
+            nxt[k + x[r]] = nxt.get(k + x[r], 0) + v
+            nxt[k + y[c]] = nxt.get(k + y[c], 0) - v
+        for k, v in prev.items():
+            nxt[k + q[r - 1]] = nxt.get(k + q[r - 1], 0) + v
+        prev, cur = cur, nxt
+    return list(cur.items())
 
 
 def _accumulate(w: Permutation):
-    """(term dict of T_w, sum of 2^{|E|}, number of diagrams)."""
+    """(packed term dict of T_w, sum of 2^{|E|}, number of diagrams).
+
+    Dominoes pair only vertically adjacent blanks of one column, so the
+    weights of all pairings of an unpaired diagram sum to its signed base
+    q monomial times one continuant per maximal vertical blank run.  The
+    scalar forms of that recurrence count the pairings of a run of L
+    blanks, F_L = F_{L-1} + F_{L-2}, and their expanded terms,
+    G_L = 2 G_{L-1} + G_{L-2} (each unpaired blank doubles them).
+    """
     n = w.n
+    width = _field_width(n)
+    x = [1 << (r * width) for r in range(n)]
+    y = [1 << ((n + c) * width) for c in range(n)]
+    q = [1 << ((2 * n + r) * width) for r in range(n - 1)]
+    F, G = [1, 1], [1, 2]
+    while len(F) <= n:
+        F.append(F[-1] + F[-2])
+        G.append(2 * G[-1] + G[-2])
+    runs: dict = {}
     acc: dict = {}
-    qbpd_monomials = 0
-    count = 0
-    for D in enumerate_unpaired(w):
-        flat = D.flat()
-        fv = _fast_valid(flat, n)
-        assert fv is not None
-        _, traces = fv
+    get = acc.get
+    qbpd_monomials = count = 0
+    for flat, traces in _closure(w):
         blanks, q_cross, nq = _raw_weight_cells(flat, n, traces)
-        base_sign = (-1) ** len(nq)
-        base_qrows = [r for r, _ in q_cross] + [r for r, _ in nq]
+        terms = {sum(q[r] for r, _ in q_cross + nq): (-1) ** len(nq)}
         blank_set = set(blanks)
-        for matching in _matchings(blank_set):
-            covered = {cell for r, c in matching for cell in ((r, c), (r + 1, c))}
-            cells = [cell for cell in blanks if cell not in covered]
-            qrows = base_qrows + [r for r, _ in matching]
-            _expand_weight(acc, n, base_sign, qrows, cells)
-            qbpd_monomials += 1 << len(cells)
-            count += 1
+        factors = []
+        f = g = 1
+        for r0, c in blanks:
+            if (r0 - 1, c) in blank_set:
+                continue
+            r1 = r0
+            while (r1 + 1, c) in blank_set:
+                r1 += 1
+            run = runs.get((c, r0, r1))
+            if run is None:
+                run = runs[c, r0, r1] = _run_terms(c, r0, r1, x, y, q)
+            factors.append(run)
+            f *= F[r1 - r0 + 1]
+            g *= G[r1 - r0 + 1]
+        qbpd_monomials += g
+        count += f
+        factors.sort(key=len)
+        last = factors.pop() if factors else [(0, 1)]
+        for run in factors:
+            new: dict = {}
+            for k, v in terms.items():
+                for rk, rv in run:
+                    new[k + rk] = new.get(k + rk, 0) + v * rv
+            terms = new
+        # within one diagram a term's sign is fixed by its y-degree, so no
+        # coefficient of ``terms`` is zero; only the sum over diagrams cancels
+        for k, v in terms.items():
+            for rk, rv in last:
+                t = k + rk
+                s = get(t, 0) + v * rv
+                if s:
+                    acc[t] = s
+                else:
+                    del acc[t]
     return acc, qbpd_monomials, count
 
 
 def qbpd_polynomial(w: Permutation) -> Poly:
     """T_w: the sum of binomial weights over all diagrams of w."""
     acc, _, _ = _accumulate(w)
-    return Poly(w.n, acc)
+    n = w.n
+    width = _field_width(n)
+    mask = (1 << width) - 1
+    shifts = range(0, (3 * n - 1) * width, width)
+    return Poly(n, {tuple(k >> s & mask for s in shifts): c for k, c in acc.items()})
 
 
 def cancellation_stats(w: Permutation) -> CancellationStats:
     """Monomial counts of T_w against the diagram expansion, and their gap."""
     acc, qbpd_monomials, count = _accumulate(w)
-    poly_monomials = sum(abs(c) for c in acc.values())
+    poly_monomials = sum(map(abs, acc.values()))
     diff = qbpd_monomials - poly_monomials
     if diff < 0 or diff % 2:
         raise ArithmeticError(
@@ -274,24 +278,38 @@ def _stats_row(images: tuple[int, ...]):
 
 
 def resolve_jobs(jobs: int | None) -> int:
+    """Worker count: ``jobs``, else ``QBPD_JOBS``, else the CPU count."""
+    name, given = "jobs", jobs
     if jobs is None:
-        env = os.environ.get("QBPD_JOBS")
-        jobs = int(env) if env else (os.cpu_count() or 1)
-    return max(1, jobs)
+        name, given = "QBPD_JOBS", os.environ.get("QBPD_JOBS")
+        if not given:
+            return os.cpu_count() or 1
+        try:
+            jobs = int(given)
+        except ValueError:
+            jobs = 0
+    if jobs < 1:
+        raise OutOfRange(f"{name} must be a positive integer, got {given!r}")
+    return jobs
 
 
 def stats_for_group(n: int, jobs: int | None = None, force: bool = False):
-    """CancellationStats for every w in S_n, in lexicographic order."""
+    """CancellationStats for every w in S_n, in lexicographic order.
+
+    Workers take one permutation at a time, longest first: the cost of a
+    row grows steeply with its length, so the heaviest rows start early
+    and the light ones fill in around them.
+    """
     if n > 6 and not force:
         raise SizeLimit("sweeps above S_6 must be forced explicitly")
     jobs = resolve_jobs(jobs)
-    perms = [w.images for w in enumerate_symmetric_group(n)]
+    order = sorted(enumerate_symmetric_group(n), key=length, reverse=True)
+    perms = [w.images for w in order]
     if jobs == 1 or len(perms) < 4:
         rows = [_stats_row(images) for images in perms]
     else:
-        chunk = max(1, len(perms) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_stats_row, perms, chunksize=chunk))
+            rows = list(pool.map(_stats_row, perms))
     rows.sort(key=lambda row: row[0])
     return [
         CancellationStats(
@@ -305,13 +323,12 @@ def stats_for_group(n: int, jobs: int | None = None, force: bool = False):
     ]
 
 
-def sweep(n: int, jobs: int | None = None, force: bool = False) -> SweepSummary:
-    """Aggregate cancellation statistics over S_n.
+def summarize(n: int, rows) -> SweepSummary:
+    """Total, average and argmax of the cancellations of sweep rows.
 
     The argmax ties break toward the lexicographically smallest one-line
     notation so results do not depend on worker scheduling.
     """
-    rows = stats_for_group(n, jobs=jobs, force=force)
     total = sum(s.cancellations for s in rows)
     best = max(rows, key=lambda s: (s.cancellations, tuple(-v for v in s.perm.images)))
     return SweepSummary(
@@ -323,32 +340,17 @@ def sweep(n: int, jobs: int | None = None, force: bool = False) -> SweepSummary:
     )
 
 
+def sweep(n: int, jobs: int | None = None, force: bool = False) -> SweepSummary:
+    """Aggregate cancellation statistics over S_n."""
+    return summarize(n, stats_for_group(n, jobs=jobs, force=force))
+
+
 # ---------------------------------------------------------------------------
 # transition residual
 
 
 def verify_transition(pi: Permutation) -> Poly:
-    """LHS minus RHS of the transition equation with every polynomial a T.
-
-    T_pi against (x_a - y_m) T_sigma, plus covering corrections, minus the
-    quantum corrections east of a, plus the quantum corrections west of a.
-    """
+    """LHS minus RHS of the transition equation with every polynomial a T."""
     if pi.is_identity():
         raise IdentityPermutation("transition applies to non-identity input")
-    n = pi.n
-    td = transition_setup(pi)
-    sigma, a, m = td.sigma, td.a, td.m
-    rhs = Poly.x_minus_y(a, m, n) * qbpd_polynomial(sigma)
-    for c in range(1, a):
-        if is_bruhat_cover(sigma, c, a):
-            rhs = rhs + qbpd_polynomial(right_multiply_transposition(sigma, c, a))
-    for c in range(a + 1, n + 1):
-        if is_quantum_lower(sigma, a, c):
-            rhs = rhs - q_interval(a, c, n) * qbpd_polynomial(
-                right_multiply_transposition(sigma, a, c)
-            )
-    for c in td.S:
-        rhs = rhs + q_interval(c, a, n) * qbpd_polynomial(
-            right_multiply_transposition(sigma, c, a)
-        )
-    return qbpd_polynomial(pi) - rhs
+    return qbpd_polynomial(pi) - transition_rhs(pi, qbpd_polynomial)

@@ -104,24 +104,18 @@ def cmd_stats(args) -> int:
     if bool(args.n) == bool(args.perm):
         print("error: give exactly one of --n or --perm", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        if args.perm:
-            s = analysis.cancellation_stats(_perm(args.perm))
-            if args.format == "csv":
-                _write(f"{CSV_HEADER}\n{s.perm.to_text()},{_stats_text(s)}\n", args.out)
-            elif args.format == "json":
-                _write(json.dumps(_stats_dict(s)) + "\n", args.out)
-            else:
-                _write(_stats_text(s) + "\n", args.out)
-            return 0
-        rows = analysis.stats_for_group(args.n, jobs=args.jobs, force=args.force)
-    except SizeLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    total = sum(s.cancellations for s in rows)
-    best = max(
-        rows, key=lambda s: (s.cancellations, tuple(-v for v in s.perm.images))
-    )
+    if args.perm:
+        s = analysis.cancellation_stats(_perm(args.perm))
+        if args.format == "csv":
+            _write(f"{CSV_HEADER}\n{s.perm.to_text()},{_stats_text(s)}\n", args.out)
+        elif args.format == "json":
+            _write(json.dumps(_stats_dict(s)) + "\n", args.out)
+        else:
+            _write(_stats_text(s) + "\n", args.out)
+        return 0
+    # SizeLimit and OutOfRange (bad worker counts) exit 2 through main
+    rows = analysis.stats_for_group(args.n, jobs=args.jobs, force=args.force)
+    summary = analysis.summarize(args.n, rows)
     if args.format == "csv":
         lines = [CSV_HEADER]
         lines += [f"{s.perm.to_text()},{_stats_text(s)}" for s in rows]
@@ -131,10 +125,10 @@ def cmd_stats(args) -> int:
             json.dumps(
                 {
                     "n": args.n,
-                    "total": total,
-                    "average": total / len(rows),
-                    "max": best.cancellations,
-                    "argmax": best.perm.to_text(),
+                    "total": summary.total,
+                    "average": summary.average,
+                    "max": summary.max_cancellations,
+                    "argmax": summary.argmax.to_text(),
                     "rows": [_stats_dict(s) for s in rows],
                 }
             )
@@ -143,8 +137,8 @@ def cmd_stats(args) -> int:
         )
     else:
         _write(
-            f"S_{args.n} total={total} average={total / len(rows):.3f}"
-            f" max={best.cancellations} argmax={best.perm.to_text()}\n",
+            f"S_{args.n} total={summary.total} average={summary.average:.3f}"
+            f" max={summary.max_cancellations} argmax={summary.argmax.to_text()}\n",
             args.out,
         )
     return 0

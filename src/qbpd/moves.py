@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .diagram import (
     Diagram,
@@ -305,12 +306,8 @@ def _finish_move(D: Diagram, new) -> Diagram:
 # enumeration
 
 
-def enumerate_unpaired(w: Permutation, order: str = "bfs") -> set[Diagram]:
-    """All unpaired diagrams of w: closure of the Rothe diagram under moves.
-
-    ``order`` selects the frontier strategy (bfs or dfs); the resulting set
-    is the same either way.
-    """
+def _closure(w: Permutation, order: str = "bfs"):
+    """Yield ``(flat, traces)`` once per diagram of :func:`enumerate_unpaired`."""
     if order not in ("bfs", "dfs"):
         raise ValueError(f"unknown order {order!r}")
     n = w.n
@@ -318,14 +315,15 @@ def enumerate_unpaired(w: Permutation, order: str = "bfs") -> set[Diagram]:
     fv = _fast_valid(start, n)
     assert fv is not None, "Rothe diagram must be valid"
     target, traces0 = fv
-    key0 = bytes(start)
-    visited = {key0: start}
     frontier = deque([(start, traces0)])
-    seen = {key0}
+    seen = {bytes(start)}
     pop = frontier.popleft if order == "bfs" else frontier.pop
     while frontier:
         flat, traces = pop()
-        for new in _droop_candidates(flat, n, traces):
+        yield flat, traces
+        for new in chain(
+            _droop_candidates(flat, n, traces), _lift_candidates(flat, n, traces)
+        ):
             key = bytes(new)
             if key in seen:
                 continue
@@ -335,21 +333,16 @@ def enumerate_unpaired(w: Permutation, order: str = "bfs") -> set[Diagram]:
                 continue
             ends, ntraces = fv
             assert ends == target, "moves must preserve the permutation"
-            visited[key] = new
             frontier.append((new, ntraces))
-        for new in _lift_candidates(flat, n, traces):
-            key = bytes(new)
-            if key in seen:
-                continue
-            seen.add(key)
-            fv = _fast_valid(new, n)
-            if fv is None:
-                continue
-            ends, ntraces = fv
-            assert ends == target, "moves must preserve the permutation"
-            visited[key] = new
-            frontier.append((new, ntraces))
-    return {Diagram.from_flat(n, flat) for flat in visited.values()}
+
+
+def enumerate_unpaired(w: Permutation, order: str = "bfs") -> set[Diagram]:
+    """All unpaired diagrams of w: closure of the Rothe diagram under moves.
+
+    ``order`` selects the frontier strategy (bfs or dfs); the resulting set
+    is the same either way.
+    """
+    return {Diagram.from_flat(w.n, flat) for flat, _ in _closure(w, order)}
 
 
 def enumerate_qbpds(w: Permutation) -> set[Diagram]:

@@ -27,6 +27,7 @@ from .perm import (
     is_quantum_lower,
     length,
     make_permutation,
+    right_multiply_transposition,
     transition_setup,
 )
 from .polyring import Poly
@@ -38,6 +39,7 @@ __all__ = [
     "q_interval",
     "monk_residual",
     "quantum_double_schubert_transition",
+    "transition_rhs",
     "divided_difference_chain",
 ]
 
@@ -174,23 +176,17 @@ def monk_residual(k: int, w: Permutation) -> Poly:
         for b in range(k + 1, N + 1):
             if is_bruhat_cover(wE, a, b):
                 rhs = rhs + quantum_double_schubert_defining(
-                    _right_t(wE, a, b)
+                    right_multiply_transposition(wE, a, b)
                 )
             if is_quantum_lower(wE, a, b):
                 rhs = rhs + q_interval(a, b, N) * quantum_double_schubert_defining(
-                    _right_t(wE, a, b)
+                    right_multiply_transposition(wE, a, b)
                 )
     extra = Poly.zero(N)
     for i in range(1, k + 1):
         extra = extra + Poly.y(wE(i), N) - Poly.y(i, N)
     rhs = rhs + extra * quantum_double_schubert_defining(wE)
     return lhs - rhs
-
-
-def _right_t(w: Permutation, a: int, b: int) -> Permutation:
-    images = list(w.images)
-    images[a - 1], images[b - 1] = images[b - 1], images[a - 1]
-    return Permutation(tuple(images))
 
 
 _transition_cache: dict[tuple[int, ...], Poly] = {}
@@ -215,21 +211,34 @@ def _transition_rec(images: tuple[int, ...]) -> Poly:
     if pi.is_identity():
         poly = Poly.one(m)
     else:
-        td = transition_setup(pi)
-        sigma = td.sigma
-        a, mm = td.a, td.m
-
-        def T(p: Permutation) -> Poly:
-            return _transition_rec(p.trimmed_images()).embed(m)
-
-        poly = Poly.x_minus_y(a, mm, m) * T(sigma)
-        for c in range(1, a):
-            if is_bruhat_cover(sigma, c, a):
-                poly = poly + T(_right_t(sigma, c, a))
-        for c in range(a + 1, m + 1):
-            if is_quantum_lower(sigma, a, c):
-                poly = poly - q_interval(a, c, m) * T(_right_t(sigma, a, c))
-        for c in td.S:
-            poly = poly + q_interval(c, a, m) * T(_right_t(sigma, c, a))
+        poly = transition_rhs(
+            pi, lambda p: _transition_rec(p.trimmed_images()).embed(m)
+        )
     _transition_cache[images] = poly
     return poly
+
+
+def transition_rhs(pi: Permutation, T) -> Poly:
+    """Right-hand side of the transition equation of a non-identity pi.
+
+    (x_a - y_m) T(sigma), plus the covering corrections, minus the quantum
+    corrections east of a, plus the quantum corrections west of a, where
+    ``T`` gives the polynomial of a permutation of the size of pi.
+    """
+    n = pi.n
+    td = transition_setup(pi)
+    sigma, a = td.sigma, td.a
+    rhs = Poly.x_minus_y(a, td.m, n) * T(sigma)
+    for c in range(1, a):
+        if is_bruhat_cover(sigma, c, a):
+            rhs = rhs + T(right_multiply_transposition(sigma, c, a))
+    for c in range(a + 1, n + 1):
+        if is_quantum_lower(sigma, a, c):
+            rhs = rhs - q_interval(a, c, n) * T(
+                right_multiply_transposition(sigma, a, c)
+            )
+    for c in td.S:
+        rhs = rhs + q_interval(c, a, n) * T(
+            right_multiply_transposition(sigma, c, a)
+        )
+    return rhs

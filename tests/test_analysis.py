@@ -1,6 +1,7 @@
 import pytest
 
 from qbpd.analysis import (
+    _field_width,
     bwt,
     cancellation_stats,
     is_cancellation_free,
@@ -139,6 +140,42 @@ def test_stats_for_group_lex_order():
     assert [s.perm.images for s in rows] == [
         w.images for w in enumerate_symmetric_group(3)
     ]
+
+
+def test_stats_for_group_order_independent_of_workers():
+    # workers take permutations longest first; rows come back in lex order
+    rows = stats_for_group(5, jobs=2)
+    assert rows == stats_for_group(5, jobs=1)
+    assert [s.perm.images for s in rows] == [
+        w.images for w in enumerate_symmetric_group(5)
+    ]
+
+
+def test_weight_sum_matches_per_diagram_weights_s5():
+    # the column-run kernel against bwt/weight_cells of every diagram
+    for w in enumerate_symmetric_group(5):
+        pool = enumerate_qbpds(w)
+        terms: dict = {}
+        for D in pool:
+            for key, c in bwt(D).terms().items():
+                terms[key] = terms.get(key, 0) + c
+        s = cancellation_stats(w)
+        assert qbpd_polynomial(w) == Poly(5, terms)
+        assert s.qbpd_monomials == sum(2 ** len(weight_cells(D).E) for D in pool)
+        assert s.qbpd_count == len(pool)
+
+
+def test_packed_field_width_bound_w0_s4():
+    # every exponent of one diagram's weight is at most n, which fits a field
+    n = 4
+    limit = (1 << _field_width(n)) - 1
+    exponents = [
+        e
+        for D in enumerate_qbpds(make_permutation([4, 3, 2, 1]))
+        for m in bwt(D).terms()
+        for e in m.flat()
+    ]
+    assert max(exponents) <= n <= limit
 
 
 def test_is_cancellation_free():

@@ -105,6 +105,15 @@ def test_stats_deterministic_across_workers(capsys):
     assert len(outputs) == 1
 
 
+def test_bad_jobs_exit_2(capsys, monkeypatch):
+    code, out, err = run(capsys, "--jobs", "0", "stats", "--n", "3")
+    assert code == 2 and not out and "got 0" in err
+    for bad in ("abc", "0", "-2"):
+        monkeypatch.setenv("QBPD_JOBS", bad)
+        code, out, err = run(capsys, "stats", "--n", "3")
+        assert code == 2 and not out and "QBPD_JOBS" in err and repr(bad) in err
+
+
 def test_stats_usage_error(capsys):
     code, _, err = run(capsys, "stats")
     assert code == 2
