@@ -24,7 +24,7 @@ from .errors import IdentityPermutation, InvalidDiagram, OutOfRange, SizeLimit
 from .moves import _closure
 from .oracle import transition_rhs
 from .perm import Permutation, enumerate_symmetric_group, length
-from .polyring import Poly
+from .polyring import Poly, _layout
 
 __all__ = [
     "WeightCells",
@@ -140,16 +140,14 @@ def is_classical_bpd(D: Diagram) -> bool:
 # the generating sum and its statistics
 
 
-def _field_width(n: int) -> int:
-    """Bits per slot of a packed key of Poly's flat layout; slot s at s * width.
+def _packed_width(n: int) -> int:
+    """Bits per exponent field of the weight sum's packed keys.
 
     Keys only multiply within one diagram's weight, whose exponents are at
     most n (a cell adds at most one x_i or q_i of its row or y_j of its
-    column), so the fields never carry.
+    column), so narrow fields never carry; they keep the keys small.
     """
-    width = (n + 1).bit_length()
-    assert n < 1 << width
-    return width
+    return (n + 1).bit_length()
 
 
 def _run_terms(c: int, r0: int, r1: int, x, y, q):
@@ -183,10 +181,8 @@ def _accumulate(w: Permutation):
     G_L = 2 G_{L-1} + G_{L-2} (each unpaired blank doubles them).
     """
     n = w.n
-    width = _field_width(n)
-    x = [1 << (r * width) for r in range(n)]
-    y = [1 << ((n + c) * width) for c in range(n)]
-    q = [1 << ((2 * n + r) * width) for r in range(n - 1)]
+    units = [1 << s for s in _layout(n, _packed_width(n))]
+    x, y, q = units[:n], units[n : 2 * n], units[2 * n :]
     F, G = [1, 1], [1, 2]
     while len(F) <= n:
         F.append(F[-1] + F[-2])
@@ -239,11 +235,7 @@ def _accumulate(w: Permutation):
 def qbpd_polynomial(w: Permutation) -> Poly:
     """T_w: the sum of binomial weights over all diagrams of w."""
     acc, _, _ = _accumulate(w)
-    n = w.n
-    width = _field_width(n)
-    mask = (1 << width) - 1
-    shifts = range(0, (3 * n - 1) * width, width)
-    return Poly(n, {tuple(k >> s & mask for s in shifts): c for k, c in acc.items()})
+    return Poly._from_packed(w.n, acc, _packed_width(w.n))
 
 
 def cancellation_stats(w: Permutation) -> CancellationStats:

@@ -16,7 +16,7 @@ import random
 import sys
 
 from . import analysis, moves, oracle
-from .diagram import canonical_key, diagram_from_text, diagram_to_text
+from .diagram import canonical_key, diagram_from_text, diagram_to_text, validate
 from .errors import NotABijection, OutOfRange, SizeLimit
 from .perm import embed, enumerate_symmetric_group, parse_permutation
 from .render import render_ascii, render_svg
@@ -202,6 +202,14 @@ def cmd_render(args) -> int:
             ds = [diagram_from_text(b) for b in blocks]
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        problems = [
+            f"diagram {k}: {problem}"
+            for k, D in enumerate(ds, 1)
+            for problem in validate(D)
+        ]
+        if problems:
+            print("\n".join(f"error: {p}" for p in problems), file=sys.stderr)
             return USAGE_ERROR
     else:
         w = _perm(args.target)

@@ -50,13 +50,15 @@ def quantum_e(i: int, k: int, z: Sequence[Poly]) -> Poly:
     G_k is tridiagonal with diagonal z_1..z_k, superdiagonal q_1..q_{k-1}
     and subdiagonal -1, so the leading minors satisfy the continuant
     recurrence D_j = (1 + lambda z_j) D_{j-1} + lambda^2 q_{j-1} D_{j-2}.
+    The ring is that of z, so k = 0 (no diagonal, hence no ring) raises
+    :class:`OutOfRange`.
     """
     if len(z) != k:
         raise SizeMismatch(f"expected {k} diagonal entries, got {len(z)}")
+    if k < 1:
+        raise OutOfRange("k = 0 gives no diagonal entry to fix the ring")
     if not 0 <= i <= k:
         raise OutOfRange(f"coefficient index {i} not in 0..{k}")
-    if k == 0:
-        return Poly.one(1)
     n = z[0].n
     prev = [Poly.one(n)]  # D_0
     cur = [Poly.one(n), z[0]]  # D_1

@@ -1,8 +1,13 @@
 """Exact sparse polynomial arithmetic over Z in x_1..x_n, y_1..y_n, q_1..q_{n-1}.
 
 A polynomial is a map from monomials to nonzero Python ints, so coefficients
-never overflow.  Monomials are stored internally as one flat exponent tuple
-of length 3n-1 (the x block, then the y block, then the q block); the
+never overflow.  Monomials are stored internally as one packed int: the
+3n-1 exponents (the x block, then the y block, then the q block) sit in
+8-bit fields, slot 0 (x_1) in the most significant one, so multiplying
+monomials adds ints and descending int order is descending lex order on
+the exponent vector.  The top bit of every field is a guard bit: exponents
+range over 0..127, and an operation whose result leaves that range raises
+:class:`OutOfRange` instead of carrying into the next field.  The
 :class:`Monomial` view splits the blocks for the public API.  The ambient
 size n is fixed per polynomial and mixed-size arithmetic is an error;
 :meth:`Poly.embed` performs the explicit inclusion into a larger ring.
@@ -13,11 +18,31 @@ deg q_i = 2.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import AmbientMismatch, InexactDivision, OutOfRange
 
 __all__ = ["Monomial", "Poly"]
+
+# one byte per exponent field, so ``int.to_bytes`` decodes a key
+_WIDTH = 8
+_MAX_EXP = 127
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int, width: int = _WIDTH) -> tuple[int, ...]:
+    """Bit shift of each of the 3n-1 exponent slots, slot 0 the highest."""
+    top = 3 * n - 2
+    return tuple((top - s) * width for s in range(top + 1))
+
+
+def _checked(n: int, terms: dict) -> dict:
+    """``terms`` itself, after checking that no exponent passed the limit."""
+    guard = int.from_bytes(b"\x80" * (3 * n - 1), "big")
+    if any(map(guard.__and__, terms)):
+        raise OutOfRange(f"an exponent exceeds {_MAX_EXP}")
+    return terms
 
 
 class Monomial(NamedTuple):
@@ -57,8 +82,10 @@ class Poly:
                     raise AmbientMismatch(
                         f"monomial width {len(key)} != {width} for n={n}"
                     )
+                if min(key) < 0 or max(key) > _MAX_EXP:
+                    raise OutOfRange(f"exponents {tuple(key)} not in 0..{_MAX_EXP}")
                 if coeff:
-                    self._terms[tuple(key)] = int(coeff)
+                    self._terms[int.from_bytes(bytes(key), "big")] = int(coeff)
 
     @classmethod
     def _raw(cls, n: int, terms: dict) -> "Poly":
@@ -67,6 +94,23 @@ class Poly:
         p.n = n
         p._terms = terms
         return p
+
+    @classmethod
+    def _from_packed(cls, n: int, terms: dict, width: int) -> "Poly":
+        """Re-pack keys laid out by ``_layout(n, width)`` into Poly's fields."""
+        mask = (1 << width) - 1
+        pairs = list(zip(_layout(n, width), _layout(n)))
+        out = {}
+        for k, c in terms.items():
+            key = 0
+            for src, dst in pairs:
+                key |= (k >> src & mask) << dst
+            out[key] = c
+        return cls._raw(n, _checked(n, out))
+
+    def _flat(self, key: int) -> bytes:
+        # one exponent per byte, slot 0 first
+        return key.to_bytes(3 * self.n - 1, "big")
 
     # -- constructors ------------------------------------------------------
 
@@ -78,7 +122,7 @@ class Poly:
     def const(cls, c: int, n: int) -> "Poly":
         if c == 0:
             return cls(n)
-        return cls._raw(n, {(0,) * (3 * n - 1): int(c)})
+        return cls._raw(n, {0: int(c)})
 
     @classmethod
     def one(cls, n: int) -> "Poly":
@@ -86,9 +130,7 @@ class Poly:
 
     @classmethod
     def _variable(cls, slot: int, n: int) -> "Poly":
-        key = [0] * (3 * n - 1)
-        key[slot] = 1
-        return cls._raw(n, {tuple(key): 1})
+        return cls._raw(n, {1 << _layout(n)[slot]: 1})
 
     @classmethod
     def x(cls, i: int, n: int) -> "Poly":
@@ -162,13 +204,10 @@ class Poly:
         get = terms.get
         for kb, cb in b.items():
             for ka, ca in a.items():
-                key = tuple(map(sum, zip(ka, kb)))
-                s = get(key, 0) + ca * cb
-                if s:
-                    terms[key] = s
-                elif key in terms:
-                    del terms[key]
-        return Poly._raw(self.n, terms)
+                key = ka + kb
+                terms[key] = get(key, 0) + ca * cb
+        terms = {k: c for k, c in terms.items() if c}
+        return Poly._raw(self.n, _checked(self.n, terms))
 
     __rmul__ = __mul__
 
@@ -193,24 +232,23 @@ class Poly:
 
     def terms(self) -> dict[Monomial, int]:
         n = self.n
-        return {Monomial.from_flat(k, n): c for k, c in self._terms.items()}
+        return {
+            Monomial.from_flat(tuple(self._flat(k)), n): c
+            for k, c in self._terms.items()
+        }
 
     def monomials(self) -> Iterable[tuple[Monomial, int]]:
         """Yield (monomial, coefficient) pairs in canonical order."""
         n = self.n
         for key in sorted(self._terms, reverse=True):
-            yield Monomial.from_flat(key, n), self._terms[key]
+            yield Monomial.from_flat(tuple(self._flat(key)), n), self._terms[key]
 
     def counts(self) -> tuple[int, int]:
         """(number of stored terms, sum of absolute coefficient values)."""
         return len(self._terms), sum(abs(c) for c in self._terms.values())
 
     def quantum_degrees(self) -> set[int]:
-        n = self.n
-        degs = set()
-        for key in self._terms:
-            degs.add(sum(key[: 2 * n]) + 2 * sum(key[2 * n :]))
-        return degs
+        return {m.quantum_degree() for m in self.terms()}
 
     def embed(self, N: int) -> "Poly":
         """Include into the ring with ambient size N >= n."""
@@ -219,10 +257,17 @@ class Poly:
             raise OutOfRange(f"cannot embed ambient {n} into {N}")
         if N == n:
             return self
-        padx = (0,) * (N - n)
-        terms = {}
-        for key, c in self._terms.items():
-            terms[key[:n] + padx + key[n : 2 * n] + padx + key[2 * n :] + padx] = c
+        # each block moves whole, its last slot to that slot's field in the
+        # larger ring; the new slots of each block stay zero
+        w = _WIDTH
+        ymask = (1 << (n * w)) - 1
+        qmask = (1 << ((n - 1) * w)) - 1
+        xs, ys = (2 * n - 1) * w, (n - 1) * w
+        xd, yd, qd = (3 * N - 1 - n) * w, (2 * N - 1 - n) * w, (N - n) * w
+        terms = {
+            (k >> xs) << xd | (k >> ys & ymask) << yd | (k & qmask) << qd: c
+            for k, c in self._terms.items()
+        }
         return Poly._raw(N, terms)
 
     # -- specialization and operators ---------------------------------------
@@ -232,70 +277,73 @@ class Poly:
         if not (zero_y or zero_q):
             return self
         n = self.n
-        terms = {}
-        for key, c in self._terms.items():
-            if zero_y and any(key[n : 2 * n]):
-                continue
-            if zero_q and any(key[2 * n :]):
-                continue
-            terms[key] = c
-        return Poly._raw(n, terms)
+        mask = 0
+        if zero_y:
+            mask |= ((1 << (n * _WIDTH)) - 1) << ((n - 1) * _WIDTH)
+        if zero_q:
+            mask |= (1 << ((n - 1) * _WIDTH)) - 1
+        return Poly._raw(n, {k: c for k, c in self._terms.items() if not k & mask})
+
+    def _y_pair(self, i: int, what: str) -> tuple[int, int]:
+        """Shifts of the y_i and y_{i+1} fields."""
+        n = self.n
+        if not 1 <= i <= n - 1:
+            raise OutOfRange(f"{what} index {i} not in 1..{n - 1}")
+        shifts = _layout(n)
+        return shifts[n + i - 1], shifts[n + i]
 
     def swap_y(self, i: int) -> "Poly":
         """The action of s_i on the y variables: exchange y_i and y_{i+1}."""
-        n = self.n
-        if not 1 <= i <= n - 1:
-            raise OutOfRange(f"swap index {i} not in 1..{n - 1}")
-        a, b = n + i - 1, n + i
+        sa, sb = self._y_pair(i, "swap")
+        step = (1 << sa) - (1 << sb)
         terms = {}
-        for key, c in self._terms.items():
-            if key[a] != key[b]:
-                lk = list(key)
-                lk[a], lk[b] = lk[b], lk[a]
-                key = tuple(lk)
-            terms[key] = c
-        return Poly._raw(n, terms)
+        for k, c in self._terms.items():
+            terms[k + ((k >> sb & 0xFF) - (k >> sa & 0xFF)) * step] = c
+        return Poly._raw(self.n, terms)
 
     def divided_difference_y(self, i: int) -> "Poly":
         """(f - s_i f) / (y_i - y_{i+1}), computed by exact synthetic division.
 
-        The numerator is antisymmetric in y_i, y_{i+1}, so dividing out
-        y_i - y_{i+1} along the y_i exponent (via y_i = (y_i - y_{i+1}) +
-        y_{i+1}) must leave remainder zero; a nonzero remainder raises
+        Each term m of f contributes m - s_i m, which is zero when m is
+        symmetric in y_i, y_{i+1}.  Otherwise both m and its swapped
+        negative are divided by y_i - y_{i+1} along the y_i exponent (via
+        y_i = (y_i - y_{i+1}) + y_{i+1}); the numerator is antisymmetric, so
+        the remainder must vanish, and a nonzero remainder raises
         :class:`InexactDivision` and signals an arithmetic bug.
         """
-        n = self.n
-        if not 1 <= i <= n - 1:
-            raise OutOfRange(f"divided difference index {i} not in 1..{n - 1}")
-        g = self - self.swap_y(i)
-        ia, ib = n + i - 1, n + i
+        sa, sb = self._y_pair(i, "divided difference")
+        ua, ub = 1 << sa, 1 << sb
+        step = ua - ub
         quot: dict = {}
         rem: dict = {}
-        for key, c in g._terms.items():
-            a, b = key[ia], key[ib]
-            lk = list(key)
+        qget = quot.get
+        for key, c in self._terms.items():
+            a, b = key >> sa & 0xFF, key >> sb & 0xFF
+            if a == b:
+                continue
+            base = key - a * ua - b * ub
             # y_i^a y_{i+1}^b = (y_i - y_{i+1}) * sum_{j<a} y_i^j y_{i+1}^{a-1-j+b}
             #                   + y_{i+1}^{a+b}
-            for j in range(a):
-                lk[ia], lk[ib] = j, a - 1 - j + b
-                k2 = tuple(lk)
-                s = quot.get(k2, 0) + c
+            # The quotients of m and -s_i m share their terms j < min(a, b),
+            # which cancel, so only j in min(a, b)..max(a, b)-1 is added.
+            lo, hi, sign = (b, a, c) if a > b else (a, b, -c)
+            k2 = base + (a + b - 1) * ub + lo * step
+            for _ in range(hi - lo):
+                quot[k2] = qget(k2, 0) + sign
+                k2 += step
+            k2 = base + (a + b) * ub
+            for cc in (c, -c):
+                s = rem.get(k2, 0) + cc
                 if s:
-                    quot[k2] = s
+                    rem[k2] = s
                 else:
-                    del quot[k2]
-            lk[ia], lk[ib] = 0, a + b
-            k2 = tuple(lk)
-            s = rem.get(k2, 0) + c
-            if s:
-                rem[k2] = s
-            else:
-                del rem[k2]
+                    del rem[k2]
         if rem:
             raise InexactDivision(
                 f"division by y_{i} - y_{i + 1} left remainder with {len(rem)} terms"
             )
-        return Poly._raw(n, quot)
+        # quotient exponents are at most max(a, b) - 1, so none can overflow
+        return Poly._raw(self.n, {k: c for k, c in quot.items() if c})
 
     # -- rendering -----------------------------------------------------------
 
@@ -308,19 +356,18 @@ class Poly:
         if not self._terms:
             return "0"
         n = self.n
+        names = (
+            [f"x{i}" for i in range(1, n + 1)]
+            + [f"y{j}" for j in range(1, n + 1)]
+            + [f"q{i}" for i in range(1, n)]
+        )
         pieces = []
         for key in sorted(self._terms, reverse=True):
             c = self._terms[key]
             factors = []
-            for slot, e in enumerate(key):
+            for name, e in zip(names, self._flat(key)):
                 if not e:
                     continue
-                if slot < n:
-                    name = f"x{slot + 1}"
-                elif slot < 2 * n:
-                    name = f"y{slot - n + 1}"
-                else:
-                    name = f"q{slot - 2 * n + 1}"
                 factors.append(name if e == 1 else f"{name}^{e}")
             mag = abs(c)
             if factors:
@@ -337,17 +384,11 @@ class Poly:
         return "".join(out)
 
     def to_json_dict(self) -> dict:
-        n = self.n
         return {
-            "n": n,
+            "n": self.n,
             "terms": [
-                {
-                    "c": str(self._terms[key]),
-                    "x": list(key[:n]),
-                    "y": list(key[n : 2 * n]),
-                    "q": list(key[2 * n :]),
-                }
-                for key in sorted(self._terms, reverse=True)
+                {"c": str(c), "x": list(m.xexp), "y": list(m.yexp), "q": list(m.qexp)}
+                for m, c in self.monomials()
             ],
         }
 

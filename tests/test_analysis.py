@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from qbpd.analysis import (
-    _field_width,
+    _packed_width,
     bwt,
     cancellation_stats,
     is_cancellation_free,
@@ -16,9 +19,13 @@ from qbpd.analysis import (
 from qbpd.diagram import Diagram, rothe_diagram
 from qbpd.errors import IdentityPermutation, InvalidDiagram, SizeLimit
 from qbpd.moves import enumerate_qbpds
-from qbpd.oracle import double_schubert_defining, quantum_double_schubert_defining
+from qbpd.oracle import (
+    double_schubert_defining,
+    quantum_double_schubert_defining,
+    quantum_double_schubert_transition,
+)
 from qbpd.perm import embed, enumerate_symmetric_group, make_permutation
-from qbpd.polyring import Poly
+from qbpd.polyring import Poly, _layout
 
 from conftest import cycle_down, cycle_up
 
@@ -168,7 +175,9 @@ def test_weight_sum_matches_per_diagram_weights_s5():
 def test_packed_field_width_bound_w0_s4():
     # every exponent of one diagram's weight is at most n, which fits a field
     n = 4
-    limit = (1 << _field_width(n)) - 1
+    shifts = _layout(n, _packed_width(n))
+    assert shifts[-1] == 0
+    limit = (1 << shifts[-2]) - 1
     exponents = [
         e
         for D in enumerate_qbpds(make_permutation([4, 3, 2, 1]))
@@ -214,3 +223,19 @@ def test_main_identity_spot():
     for images in ([4, 2, 1, 3], [3, 1, 4, 2], [2, 4, 1, 3]):
         w = make_permutation(images)
         assert qbpd_polynomial(w) == quantum_double_schubert_defining(w)
+
+
+def test_golden_output_s5():
+    # text and JSON of the weight sum and of both oracles over all of S_5,
+    # pinned to the digest of the tuple-keyed implementation
+    h = hashlib.md5()
+    for w in enumerate_symmetric_group(5):
+        for route in (
+            qbpd_polynomial,
+            quantum_double_schubert_defining,
+            quantum_double_schubert_transition,
+        ):
+            p = route(w)
+            h.update(p.canonical_text().encode())
+            h.update(json.dumps(p.to_json_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == "0ff6a43baf5c9afec02e72a0a831e174"

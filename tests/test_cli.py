@@ -160,6 +160,22 @@ def test_render_file_round_trip(tmp_path, capsys):
         assert from_file == from_perm
 
 
+def test_render_file_off_grid_domino(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("3\nRHH\nVRH\nVVR\n5,5\n")
+    code, out, err = run(capsys, "render", str(path))
+    assert code == 2 and out == ""
+    assert "domino at (5,5) out of bounds" in err
+
+
+def test_render_file_invalid_tiling(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("3\nRRR\nRRR\nRRR\n")
+    code, out, err = run(capsys, "render", str(path))
+    assert code == 2 and out == ""
+    assert "pipe 1 stuck at (2,3)" in err
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "enum", "4223")
     assert code == 2 and "error" in err

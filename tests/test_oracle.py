@@ -40,6 +40,11 @@ def test_quantum_e_small():
         quantum_e(3, 2, z)
 
 
+def test_quantum_e_empty_diagonal_has_no_ring():
+    with pytest.raises(OutOfRange):
+        quantum_e(0, 0, [])
+
+
 def test_defining_small():
     assert quantum_double_schubert_defining(make_permutation([2, 1])) == Poly.x_minus_y(
         1, 1, 2
@@ -105,7 +110,7 @@ def test_transition_small():
     assert quantum_double_schubert_transition(w) == quantum_double_schubert_defining(w)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_oracles_agree(n):
     for w in enumerate_symmetric_group(n):
         assert quantum_double_schubert_transition(w) == quantum_double_schubert_defining(w)

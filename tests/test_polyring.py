@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbpd.errors import AmbientMismatch, InexactDivision, OutOfRange
 from qbpd.polyring import Monomial, Poly
@@ -168,3 +169,138 @@ def test_ring_axioms_random():
         assert f * (g + h) == f * g + f * h
         assert f + g == g + f
         assert f * g == g * f
+
+
+# -- packed keys against a tuple-keyed reference --------------------------------
+
+def ref_norm(f):
+    return {k: c for k, c in f.items() if c}
+
+
+def ref_add(f, g):
+    out = dict(f)
+    for k, c in g.items():
+        out[k] = out.get(k, 0) + c
+    return ref_norm(out)
+
+
+def ref_mul(f, g):
+    out = {}
+    for ka, ca in f.items():
+        for kb, cb in g.items():
+            k = tuple(a + b for a, b in zip(ka, kb))
+            out[k] = out.get(k, 0) + ca * cb
+    return ref_norm(out)
+
+
+def ref_swap(f, n, i):
+    def swap(k):
+        k = list(k)
+        k[n + i - 1], k[n + i] = k[n + i], k[n + i - 1]
+        return tuple(k)
+
+    return {swap(k): c for k, c in f.items()}
+
+
+def ref_divided_difference(f, n, i):
+    # y_i^a y_{i+1}^b - y_i^b y_{i+1}^a
+    #     = (y_i - y_{i+1}) * sum_{b <= j < a} y_i^j y_{i+1}^{a+b-1-j}
+    out = {}
+    for k, c in f.items():
+        a, b = k[n + i - 1], k[n + i]
+        lo, hi, s = (b, a, c) if a > b else (a, b, -c)
+        for j in range(lo, hi):
+            m = k[: n + i - 1] + (j, a + b - 1 - j) + k[n + i + 1 :]
+            out[m] = out.get(m, 0) + s
+    return ref_norm(out)
+
+
+def ref_embed(f, n, N):
+    pad = (0,) * (N - n)
+    return {
+        k[:n] + pad + k[n : 2 * n] + pad + k[2 * n :] + pad: c for k, c in f.items()
+    }
+
+
+def ref_text(f, n):
+    blocks = (("x", n), ("y", n), ("q", n - 1))
+    names = [f"{v}{i}" for v, m in blocks for i in range(1, m + 1)]
+    text = ""
+    for k in sorted(f, reverse=True):
+        body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, k) if e)
+        mag = abs(f[k])
+        body = (f"{mag}*{body}" if mag != 1 else body) if body else str(mag)
+        text += (" - " if f[k] < 0 else " + ") + body
+    return ("-" if text[1] == "-" else "") + text[3:] if text else "0"
+
+
+def term_dicts(n):
+    key = st.tuples(*[st.integers(0, 6)] * (3 * n - 1))
+    return st.dictionaries(key, st.integers(-5, 5), max_size=8)
+
+
+def flat_terms(p):
+    return {m.flat(): c for m, c in p.terms().items()}
+
+
+two_polys = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), term_dicts(n), term_dicts(n))
+)
+poly_and_index = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(st.just(n), term_dicts(n), st.integers(1, n - 1))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_polys)
+def test_packed_ring_ops_match_reference(case):
+    n, f, g = case
+    f, g = ref_norm(f), ref_norm(g)
+    pf, pg = Poly(n, f), Poly(n, g)
+    assert flat_terms(pf + pg) == ref_add(f, g)
+    assert flat_terms(pf - pg) == ref_add(f, {k: -c for k, c in g.items()})
+    assert flat_terms(pf * pg) == ref_mul(f, g)
+    for p, ref in ((pf, f), (pf * pg, ref_mul(f, g))):
+        assert p.canonical_text() == ref_text(ref, n)
+        data = json.loads(json.dumps(p.to_json_dict()))
+        keys = [tuple(t["x"] + t["y"] + t["q"]) for t in data["terms"]]
+        assert keys == sorted(ref, reverse=True)
+        assert Poly.from_json_dict(data) == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_and_index, st.integers(0, 2))
+def test_packed_y_operators_match_reference(case, extra):
+    n, f, i = case
+    f = ref_norm(f)
+    p = Poly(n, f)
+    assert flat_terms(p.swap_y(i)) == ref_swap(f, n, i)
+    d = ref_divided_difference(f, n, i)
+    assert flat_terms(p.divided_difference_y(i)) == d
+    # the quotient times y_i - y_{i+1} gives back f - s_i f
+    yy = flat_terms(Poly.y(i, n) - Poly.y(i + 1, n))
+    assert ref_mul(yy, d) == ref_add(f, {k: -c for k, c in ref_swap(f, n, i).items()})
+    N = n + extra
+    assert flat_terms(p.embed(N)) == ref_embed(f, n, N)
+    for zero_y in (False, True):
+        for zero_q in (False, True):
+            keep = {
+                k: c
+                for k, c in f.items()
+                if not (zero_y and any(k[n : 2 * n]) or zero_q and any(k[2 * n :]))
+            }
+            assert flat_terms(p.specialize(zero_y=zero_y, zero_q=zero_q)) == keep
+
+
+def test_exponent_range_boundaries():
+    top = Poly(1, {(127, 0): 1})
+    assert top.to_json_dict()["terms"][0]["x"] == [127]
+    for bad in ((128, 0), (0, -1)):
+        with pytest.raises(OutOfRange):
+            Poly(1, {bad: 1})
+    with pytest.raises(OutOfRange):
+        top * Poly.x(1, 1)
+    half = Poly(2, {(0, 0, 64, 0, 0): 1})  # y_1^64
+    with pytest.raises(OutOfRange):
+        half * half
+    assert (half * Poly(2, {(0, 0, 63, 0, 0): 1})).canonical_text() == "y1^127"
