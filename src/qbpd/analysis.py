@@ -16,10 +16,9 @@ cancellation tables.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .diagram import Diagram, TileKind, _fast_valid, validate
+from .diagram import Diagram, TileKind, _blank_runs, _fast_valid, validate
 from .errors import IdentityPermutation, InvalidDiagram, OutOfRange, SizeLimit
 from .moves import _closure
 from .oracle import transition_rhs
@@ -75,18 +74,17 @@ class SweepSummary:
     argmax: Permutation
 
 
-def _raw_weight_cells(flat, n: int, traces):
-    """0-based (blanks, q cells, -q cells) of a valid unpaired grid.
+def _q_cells(flat, n: int, traces):
+    """0-based (q cells, -q cells) of a valid unpaired grid.
 
     Every cell a pipe enters from the south carries q of its row: +q for
     the vertical strand of a CROSS, -q for a vertical tile or a SW corner
     (a SW corner can only be entered from the south).
     """
-    blanks = [divmod(i, n) for i, t in enumerate(flat) if t == _B]
     up = [idx for steps in traces for idx, entry, _ in steps if entry == _S_SIDE]
     q_cross = [divmod(i, n) for i in up if flat[i] == _X]
     nq = [divmod(i, n) for i in up if flat[i] != _X]
-    return blanks, q_cross, nq
+    return q_cross, nq
 
 
 def weight_cells(D: Diagram) -> WeightCells:
@@ -96,13 +94,9 @@ def weight_cells(D: Diagram) -> WeightCells:
         raise InvalidDiagram(problems)
     flat = D.flat()
     _, traces = _fast_valid(flat, D.n)
-    blanks, q_cross, nq = _raw_weight_cells(flat, D.n, traces)
-    covered = {(r, c) for (r, c) in D.dominoes} | {
-        (r + 1, c) for (r, c) in D.dominoes
-    }
-    E = frozenset(
-        (r + 1, c + 1) for r, c in blanks if (r + 1, c + 1) not in covered
-    )
+    q_cross, nq = _q_cells(flat, D.n, traces)
+    blanks = {(i // D.n + 1, i % D.n + 1) for i, t in enumerate(flat) if t == _B}
+    E = frozenset(blanks - {(r + dr, c) for r, c in D.dominoes for dr in (0, 1)})
     Q = frozenset((r + 1, c + 1) for r, c in q_cross) | frozenset(D.dominoes)
     NQ = frozenset((r + 1, c + 1) for r, c in nq)
     return WeightCells(E=E, Q=Q, NQ=NQ)
@@ -192,20 +186,15 @@ def _accumulate(w: Permutation):
     get = acc.get
     qbpd_monomials = count = 0
     for flat, traces in _closure(w):
-        blanks, q_cross, nq = _raw_weight_cells(flat, n, traces)
+        q_cross, nq = _q_cells(flat, n, traces)
         terms = {sum(q[r] for r, _ in q_cross + nq): (-1) ** len(nq)}
-        blank_set = set(blanks)
         factors = []
         f = g = 1
-        for r0, c in blanks:
-            if (r0 - 1, c) in blank_set:
-                continue
-            r1 = r0
-            while (r1 + 1, c) in blank_set:
-                r1 += 1
-            run = runs.get((c, r0, r1))
+        for key in _blank_runs(flat, n):
+            c, r0, r1 = key
+            run = runs.get(key)
             if run is None:
-                run = runs[c, r0, r1] = _run_terms(c, r0, r1, x, y, q)
+                run = runs[key] = _run_terms(c, r0, r1, x, y, q)
             factors.append(run)
             f *= F[r1 - r0 + 1]
             g *= G[r1 - r0 + 1]
@@ -300,6 +289,7 @@ def stats_for_group(n: int, jobs: int | None = None, force: bool = False):
     if jobs == 1 or len(perms) < 4:
         rows = [_stats_row(images) for images in perms]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_stats_row, perms))
     rows.sort(key=lambda row: row[0])

@@ -5,21 +5,19 @@ the three routes), ``stats`` (cancellation statistics and sweeps),
 ``verify`` (invariant suites) and ``render`` (ASCII/SVG drawings).
 
 Exit codes: 0 success, 1 a verification failed, 2 usage or parse error.
+Verbs import what they use when they run, so ``enum`` loads no ``Poly`` code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
 
-from . import analysis, moves, oracle
-from .diagram import canonical_key, diagram_from_text, diagram_to_text, validate
+from . import moves
+from .diagram import Diagram, diagram_from_text, flat_text, validate
 from .errors import NotABijection, OutOfRange, SizeLimit
-from .perm import embed, enumerate_symmetric_group, parse_permutation
-from .render import render_ascii, render_svg
+from .perm import Permutation, embed, enumerate_symmetric_group, parse_permutation
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -33,8 +31,12 @@ def _perm(text: str) -> Permutation:
         raise SystemExit(USAGE_ERROR)
 
 
-def _sorted_diagrams(ds):
-    return sorted(ds, key=canonical_key)
+def _sized_perm(args) -> Permutation:
+    """The ``perm`` argument; n above 7 must be forced, like large sweeps."""
+    w = _perm(args.perm)
+    if w.n > 7 and not args.force:
+        raise SizeLimit(f"{args.verb} with n = {w.n} > 7 must be forced with --force")
+    return w
 
 
 def _write(text: str, out: str | None):
@@ -50,17 +52,18 @@ def _write(text: str, out: str | None):
 
 
 def cmd_enum(args) -> int:
-    w = _perm(args.perm)
-    ds = moves.enumerate_unpaired(w) if args.unpaired else moves.enumerate_qbpds(w)
+    w = _sized_perm(args)
+    ds = moves.flat_diagrams(w, unpaired=args.unpaired)
     print(len(ds))
     if not args.count:
-        body = "\n".join(diagram_to_text(D) for D in _sorted_diagrams(ds))
-        _write(body, args.out)
+        _write(flat_text(w.n, ds), args.out)
     return 0
 
 
 def cmd_poly(args) -> int:
-    w = _perm(args.perm)
+    from . import analysis, oracle
+
+    w = _sized_perm(args)
     if args.mode == "qbpd":
         p = analysis.qbpd_polynomial(w)
     elif args.mode == "oracle":
@@ -75,6 +78,8 @@ def cmd_poly(args) -> int:
             return USAGE_ERROR
         p = p.specialize(zero_y="y" in families, zero_q="q" in families)
     if args.format == "json":
+        import json
+
         _write(json.dumps(p.to_json_dict(), indent=None) + "\n", args.out)
     else:
         _write(p.canonical_text() + "\n", args.out)
@@ -101,7 +106,11 @@ CSV_HEADER = "perm,poly_monomials,qbpd_monomials,cancellations,qbpd_count"
 
 
 def cmd_stats(args) -> int:
-    if bool(args.n) == bool(args.perm):
+    import json
+
+    from . import analysis
+
+    if (args.n is None) == (args.perm is None):
         print("error: give exactly one of --n or --perm", file=sys.stderr)
         return USAGE_ERROR
     if args.perm:
@@ -147,11 +156,17 @@ def cmd_stats(args) -> int:
 def _verify_perms(n, sample, seed):
     perms = list(enumerate_symmetric_group(n))
     if sample and sample < len(perms):
+        import random
+
         perms = random.Random(seed).sample(perms, sample)
     return perms
 
 
 def cmd_verify(args) -> int:
+    from . import analysis, oracle
+
+    if args.sample is not None and args.sample < 1:
+        raise OutOfRange(f"--sample must be >= 1, got {args.sample}")
     n = args.n
     failures = []
     checked = 0
@@ -194,7 +209,15 @@ def cmd_verify(args) -> int:
     return 0 if not failures else CHECK_FAILED
 
 
+def _pick(count: int, index: int) -> int:
+    if not 1 <= index <= count:
+        raise OutOfRange(f"index {index} out of range 1..{count}")
+    return index - 1
+
+
 def cmd_render(args) -> int:
+    from .render import render_ascii, render_svg
+
     if os.path.exists(args.target):
         with open(args.target, encoding="utf-8") as fh:
             blocks = [b for b in fh.read().split("\n\n") if b.strip()]
@@ -211,21 +234,11 @@ def cmd_render(args) -> int:
         if problems:
             print("\n".join(f"error: {p}" for p in problems), file=sys.stderr)
             return USAGE_ERROR
+        D = ds[_pick(len(ds), args.index)]
     else:
         w = _perm(args.target)
-        pool = (
-            moves.enumerate_unpaired(w)
-            if args.unpaired
-            else moves.enumerate_qbpds(w)
-        )
-        ds = _sorted_diagrams(pool)
-    if not 1 <= args.index <= len(ds):
-        print(
-            f"error: index {args.index} out of range 1..{len(ds)}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-    D = ds[args.index - 1]
+        pool = moves.flat_diagrams(w, unpaired=args.unpaired)
+        D = Diagram.from_flat(w.n, *pool[_pick(len(pool), args.index)])
     text = render_svg(D) if args.format == "svg" else render_ascii(D)
     _write(text, args.out)
     return 0
@@ -246,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("perm")
     p.add_argument("--unpaired", action="store_true", help="skip domino pairings")
     p.add_argument("--count", action="store_true", help="print the count only")
+    p.add_argument("--force", action="store_true", help="allow n > 7")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_enum)
 
@@ -256,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--specialize", help="comma-separated families to zero: y,q")
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--force", action="store_true", help="allow n > 7")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_poly)
 

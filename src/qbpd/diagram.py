@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -41,6 +42,7 @@ __all__ = [
     "embed_diagram",
     "restrict_diagram",
     "canonical_key",
+    "flat_text",
     "diagram_to_text",
     "diagram_from_text",
 ]
@@ -57,17 +59,10 @@ class TileKind(enum.IntEnum):
     CROSS = 7  # EW and NS superimposed
 
 
-TILE_CHARS = {
-    TileKind.BLANK: ".",
-    TileKind.ES: "R",
-    TileKind.WN: "J",
-    TileKind.SW: "S",
-    TileKind.NE: "N",
-    TileKind.EW: "H",
-    TileKind.NS: "V",
-    TileKind.CROSS: "C",
-}
-CHAR_TILES = {c: t for t, c in TILE_CHARS.items()}
+TILE_TEXT = ".RJSNHVC"  # BLANK ES WN SW NE EW NS CROSS
+CHAR_TILES = dict(zip(TILE_TEXT, TileKind))
+_KINDS = tuple(TileKind)
+_TEXT = bytes.maketrans(bytes(_KINDS), TILE_TEXT.encode())
 
 # sides, as small ints internally and chars at the API boundary
 N, E, S, W = 0, 1, 2, 3
@@ -138,9 +133,8 @@ class Diagram:
 
     @classmethod
     def from_flat(cls, n: int, flat, dominoes=()) -> "Diagram":
-        tiles = tuple(
-            tuple(TileKind(flat[r * n + c]) for c in range(n)) for r in range(n)
-        )
+        kinds = [_KINDS[t] for t in flat]
+        tiles = tuple(tuple(kinds[i : i + n]) for i in range(0, n * n, n))
         return cls(n=n, tiles=tiles, dominoes=frozenset(dominoes))
 
 
@@ -195,8 +189,8 @@ def _trace_one(flat, n: int, row0: int, strict: bool):
             c, entry = c + 1, W
 
 
-def _analyze(flat, n: int, strict: bool = False):
-    """Trace every pipe and audit segment usage and crossings.
+def _analyze(flat, n: int):
+    """Trace every pipe permissively and audit segment usage and crossings.
 
     Returns (end_cols, traces, violations): ``end_cols`` is a list with
     None for pipes that failed, traces hold 0-based raw steps, violations
@@ -208,7 +202,7 @@ def _analyze(flat, n: int, strict: bool = False):
     usage = [0] * (2 * n * n)
     cross_owner: dict[tuple[int, int], list] = {}
     for row0 in range(n):
-        steps, end, viol = _trace_one(flat, n, row0, strict)
+        steps, end, viol = _trace_one(flat, n, row0, strict=False)
         traces.append(steps)
         end_cols.append(end)
         for v in viol:
@@ -382,7 +376,7 @@ def validate(D: Diagram) -> list[str]:
     no two pipes cross twice, and the domino overlay sits on disjoint
     vertically adjacent blank pairs.
     """
-    _, _, violations = _analyze(D.flat(), D.n, strict=False)
+    _, _, violations = _analyze(D.flat(), D.n)
     out = [_format_violation(v) for v in violations]
     out.extend(_domino_violations(D))
     return out
@@ -393,7 +387,7 @@ def extract_permutation(D: Diagram) -> Permutation:
     problems = validate(D)
     if problems:
         raise InvalidDiagram(problems)
-    end_cols, _, _ = _analyze(D.flat(), D.n, strict=True)
+    end_cols, _ = _fast_valid(D.flat(), D.n)
     return make_permutation([c + 1 for c in end_cols])
 
 
@@ -426,6 +420,36 @@ def rothe_diagram(w: Permutation) -> Diagram:
     return Diagram(n=n, tiles=tuple(rows))
 
 
+def _blank_runs(flat, n: int) -> list[tuple[int, int, int]]:
+    """Maximal vertical runs of blank cells as 0-based (column, top, bottom)."""
+    flat = bytes(flat)  # blank tiles are zero bytes
+    runs = []
+    for c in range(n):
+        col = flat[c::n]
+        top = col.find(0)
+        while top >= 0:
+            end = n - len(col[top:].lstrip(b"\0"))  # the row below the run
+            runs.append((c, top, end - 1))
+            top = col.find(0, end)
+    return runs
+
+
+def _pairings(flat, n: int) -> list[tuple]:
+    """Every domino set of an unpaired grid, in :func:`canonical_key` order.
+
+    A set is the sorted tuple of its 1-based upper cells.  Any blank with a
+    blank below it may be an upper cell, but not together with that lower
+    cell; so a run of L blanks has F_L sets, and a grid the product of its
+    runs' sets.
+    """
+    runs = _blank_runs(flat, n)
+    uppers = [(r + 1, c + 1) for c, top, bottom in runs for r in range(top, bottom)]
+    sets = [()]
+    for r, c in sorted(uppers, reverse=True):
+        sets += [((r, c),) + rest for rest in sets if (r + 1, c) not in rest]
+    return sorted(sets)
+
+
 def domino_pairings(D: Diagram) -> set[Diagram]:
     """All diagrams obtained by pairing vertically adjacent blank cells.
 
@@ -434,29 +458,10 @@ def domino_pairings(D: Diagram) -> set[Diagram]:
     """
     if D.dominoes:
         raise HasDominoes("domino pairings start from an unpaired diagram")
-    n = D.n
-    blanks = {
-        (r, c)
-        for r in range(1, n + 1)
-        for c in range(1, n + 1)
-        if D.tile_at(r, c) == TileKind.BLANK
+    return {
+        Diagram(n=D.n, tiles=D.tiles, dominoes=frozenset(dominoes))
+        for dominoes in _pairings(D.flat(), D.n)
     }
-    edges = sorted((r, c) for (r, c) in blanks if (r + 1, c) in blanks)
-    results = set()
-
-    def assign(i: int, used: frozenset, chosen: tuple):
-        if i == len(edges):
-            results.add(
-                Diagram(n=n, tiles=D.tiles, dominoes=frozenset(chosen))
-            )
-            return
-        assign(i + 1, used, chosen)
-        r, c = edges[i]
-        if (r, c) not in used and (r + 1, c) not in used:
-            assign(i + 1, used | {(r, c), (r + 1, c)}, chosen + ((r, c),))
-
-    assign(0, frozenset(), ())
-    return results
 
 
 def embed_diagram(D: Diagram) -> Diagram:
@@ -495,23 +500,33 @@ def restrict_diagram(D: Diagram) -> Diagram:
 
 
 def canonical_key(D: Diagram) -> bytes:
-    """Injective byte serialization: size, row-major tiles, sorted dominoes."""
-    parts = bytearray([D.n])
-    for row in D.tiles:
-        parts.extend(int(t) for t in row)
-    parts.append(255)
-    for r, c in sorted(D.dominoes):
-        parts.extend((r, c))
-    return bytes(parts)
+    """Injective byte serialization: size, row-major tiles, sorted dominoes.
+
+    Diagrams of one size sort by their tile bytes, then by their sorted
+    domino tuples, the order of ``moves.flat_diagrams``.
+    """
+    return bytes([D.n, *D.flat(), 255, *chain.from_iterable(sorted(D.dominoes))])
+
+
+def flat_text(n: int, diagrams) -> str:
+    """The text of ``(tile bytes, sorted dominoes)`` pairs, blank-line separated.
+
+    Each tiling's grid lines are formatted once, however many domino sets
+    follow it.
+    """
+    blocks = []
+    last = grid = None
+    for tiles, dominoes in diagrams:
+        if tiles != last:
+            chars = tiles.translate(_TEXT).decode()
+            rows = [chars[i : i + n] for i in range(0, n * n, n)]
+            last, grid = tiles, "\n".join([str(n), *rows]) + "\n"
+        blocks.append(grid + "".join(f"{r},{c}\n" for r, c in dominoes))
+    return "\n".join(blocks)
 
 
 def diagram_to_text(D: Diagram) -> str:
-    lines = [str(D.n)]
-    for row in D.tiles:
-        lines.append("".join(TILE_CHARS[t] for t in row))
-    for r, c in sorted(D.dominoes):
-        lines.append(f"{r},{c}")
-    return "\n".join(lines) + "\n"
+    return flat_text(D.n, [(bytes(D.flat()), sorted(D.dominoes))])
 
 
 def diagram_from_text(text: str) -> Diagram:

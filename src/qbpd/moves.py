@@ -23,13 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
-from .diagram import (
-    Diagram,
-    TileKind,
-    _fast_valid,
-    domino_pairings,
-    rothe_diagram,
-)
+from .diagram import Diagram, TileKind, _fast_valid, _pairings, rothe_diagram
 from .errors import MoveRejected, SizeLimit
 from .perm import Permutation
 
@@ -37,6 +31,7 @@ __all__ = [
     "RectMove",
     "apply_droop",
     "apply_lift",
+    "flat_diagrams",
     "enumerate_unpaired",
     "enumerate_qbpds",
     "brute_force_enumerate",
@@ -298,8 +293,7 @@ def _finish_move(D: Diagram, new) -> Diagram:
     fv = _fast_valid(new, D.n)
     if fv is None:
         raise MoveRejected("result is not a valid reduced diagram")
-    result = Diagram.from_flat(D.n, new)
-    return result
+    return Diagram.from_flat(D.n, new)
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +330,36 @@ def _closure(w: Permutation, order: str = "bfs"):
             frontier.append((new, ntraces))
 
 
+def flat_diagrams(w: Permutation, unpaired: bool = False, order: str = "bfs"):
+    """Every diagram of w as a ``(tile bytes, sorted dominoes)`` pair.
+
+    The list is in ``canonical_key`` order and no :class:`Diagram` is built.
+    ``unpaired`` keeps the closure's tilings only; ``order`` is its frontier
+    strategy (bfs or dfs) and does not change the list.
+    """
+    n = w.n
+    tilings = sorted(bytes(flat) for flat, _ in _closure(w, order))
+    if unpaired:
+        return [(tiles, ()) for tiles in tilings]
+    return [(tiles, dominoes) for tiles in tilings for dominoes in _pairings(tiles, n)]
+
+
+def _diagrams(n: int, pairs) -> set[Diagram]:
+    return {Diagram.from_flat(n, tiles, dominoes) for tiles, dominoes in pairs}
+
+
 def enumerate_unpaired(w: Permutation, order: str = "bfs") -> set[Diagram]:
     """All unpaired diagrams of w: closure of the Rothe diagram under moves.
 
     ``order`` selects the frontier strategy (bfs or dfs); the resulting set
     is the same either way.
     """
-    return {Diagram.from_flat(w.n, flat) for flat, _ in _closure(w, order)}
+    return _diagrams(w.n, flat_diagrams(w, unpaired=True, order=order))
 
 
 def enumerate_qbpds(w: Permutation) -> set[Diagram]:
     """All diagrams of w: unpaired closure plus every domino pairing."""
-    out: set[Diagram] = set()
-    for D in enumerate_unpaired(w):
-        out |= domino_pairings(D)
-    return out
+    return _diagrams(w.n, flat_diagrams(w))
 
 
 def brute_force_enumerate(w: Permutation) -> set[Diagram]:
@@ -425,7 +434,4 @@ def brute_force_enumerate(w: Permutation) -> set[Diagram]:
         extend(pipe, pipe, n - 1, E)
 
     route(0)
-    out: set[Diagram] = set()
-    for flat in set(results):
-        out |= domino_pairings(Diagram.from_flat(n, flat))
-    return out
+    return _diagrams(n, [(f, m) for f in set(results) for m in _pairings(f, n)])

@@ -6,16 +6,7 @@ from .diagram import Diagram, TileKind
 
 __all__ = ["render_ascii", "render_svg"]
 
-GLYPHS = {
-    TileKind.BLANK: "·",  # ·
-    TileKind.ES: "┌",  # ┌
-    TileKind.WN: "┘",  # ┘
-    TileKind.SW: "┐",  # ┐
-    TileKind.NE: "└",  # └
-    TileKind.EW: "─",  # ─
-    TileKind.NS: "│",  # │
-    TileKind.CROSS: "┼",  # ┼
-}
+GLYPHS = dict(zip(TileKind, "·┌┘┐└─│┼"))
 
 
 def render_ascii(D: Diagram) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from qbpd.cli import main
@@ -189,3 +190,40 @@ def test_domino_glyphs_in_render(capsys):
     if "D" not in out:
         code, out, _ = run(capsys, "render", "321", "--index", "1")
     assert "D" in out and "d" in out
+
+
+def test_enum_golden_output_s5(capsys):
+    # md5 over `enum w` and `enum w --unpaired` for every w in S_1..S_5,
+    # pinned from the recursive domino matcher this enumerator replaced
+    h = hashlib.md5()
+    for n in range(1, 6):
+        for w in enumerate_symmetric_group(n):
+            for extra in ((), ("--unpaired",)):
+                code, out, _ = run(capsys, "enum", w.to_text(), *extra)
+                assert code == 0
+                h.update(out.encode())
+    assert h.hexdigest() == "6fa076c0c51c6204ae663d8e807fc813"
+
+
+def test_enum_and_poly_size_guard(capsys):
+    for verb in ("enum", "poly"):
+        code, out, err = run(capsys, verb, "12345687")
+        assert code == 2 and not out
+        assert "n = 8" in err and "--force" in err
+    code, out, _ = run(capsys, "enum", "12345687", "--force", "--count")
+    assert code == 0 and out == "7\n"
+    code, out, _ = run(capsys, "enum", "7654321", "--unpaired", "--count")
+    assert code == 0 and out == "1\n"
+
+
+def test_verify_sample_below_one_exit_2(capsys):
+    for bad in ("-1", "0"):
+        code, out, err = run(capsys, "verify", "theorem", "--n", "3", "--sample", bad)
+        assert code == 2 and not out and f"got {bad}" in err
+    code, out, _ = run(capsys, "verify", "theorem", "--n", "3", "--sample", "2")
+    assert code == 0 and "2 checks, ok" in out
+
+
+def test_stats_n_zero_is_out_of_range(capsys):
+    code, out, err = run(capsys, "stats", "--n", "0")
+    assert code == 2 and not out and "n must be >= 1" in err

@@ -1,0 +1,50 @@
+"""What importing the package and its command loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import qbpd
+
+# Every name ``qbpd`` exported when it imported all of its submodules eagerly.
+EXPORTED = """
+    CancellationStats Diagram Monomial Permutation PipeStep PipeTrace Poly
+    RectMove SweepSummary TileKind TransitionData WeightCells apply_droop
+    apply_lift brute_force_enumerate bwt cancellation_stats canonical_key
+    diagram_from_text diagram_to_text divided_difference_chain domino_pairings
+    double_schubert_defining embed embed_diagram enumerate_qbpds
+    enumerate_symmetric_group enumerate_unpaired extract_permutation
+    is_bruhat_cover is_cancellation_free is_classical_bpd is_quantum_lower
+    length make_permutation monk_residual parse_permutation q_interval
+    qbpd_polynomial quantum_double_schubert_defining
+    quantum_double_schubert_transition quantum_e reduced_word restrict_diagram
+    right_multiply_transposition rothe_diagram stats_for_group sweep
+    trace_pipes transition_setup validate verify_transition weight_cells wt
+""".split()
+
+
+def test_import_cli_loads_no_polynomial_code():
+    src = str(Path(qbpd.__file__).resolve().parent.parent)
+    code = (
+        "import sys; import qbpd.cli; "
+        "print(' '.join(sorted(m for m in sys.modules"
+        " if m.startswith(('qbpd', 'concurrent')))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout.split()
+    assert out == ["qbpd", "qbpd.cli", "qbpd.diagram", "qbpd.errors", "qbpd.moves", "qbpd.perm"]
+
+
+def test_every_exported_name_resolves():
+    assert len(EXPORTED) == 54
+    for name in EXPORTED:
+        exec(f"from qbpd import {name}", {})
+        assert name in qbpd.__all__
+    assert qbpd.__version__ == "0.1.0"
+    assert qbpd.polyring.Poly is qbpd.Poly
