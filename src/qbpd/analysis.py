@@ -18,8 +18,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .diagram import Diagram, TileKind, _blank_runs, _fast_valid, validate
-from .errors import IdentityPermutation, InvalidDiagram, OutOfRange, SizeLimit
+from .diagram import Diagram, TileKind, _blank_runs, _valid_trace
+from .errors import IdentityPermutation, OutOfRange, SizeLimit
 from .moves import _closure
 from .oracle import transition_rhs
 from .perm import Permutation, enumerate_symmetric_group, length
@@ -89,11 +89,7 @@ def _q_cells(flat, n: int, traces):
 
 def weight_cells(D: Diagram) -> WeightCells:
     """Classify the cells of a valid diagram by their weight contribution."""
-    problems = validate(D)
-    if problems:
-        raise InvalidDiagram(problems)
-    flat = D.flat()
-    _, traces = _fast_valid(flat, D.n)
+    flat, _, traces = _valid_trace(D)
     q_cross, nq = _q_cells(flat, D.n, traces)
     blanks = {(i // D.n + 1, i % D.n + 1) for i, t in enumerate(flat) if t == _B}
     E = frozenset(blanks - {(r + dr, c) for r, c in D.dominoes for dr in (0, 1)})

@@ -114,7 +114,7 @@ def cmd_stats(args) -> int:
         print("error: give exactly one of --n or --perm", file=sys.stderr)
         return USAGE_ERROR
     if args.perm:
-        s = analysis.cancellation_stats(_perm(args.perm))
+        s = analysis.cancellation_stats(_sized_perm(args))
         if args.format == "csv":
             _write(f"{CSV_HEADER}\n{s.perm.to_text()},{_stats_text(s)}\n", args.out)
         elif args.format == "json":
@@ -219,10 +219,14 @@ def cmd_render(args) -> int:
     from .render import render_ascii, render_svg
 
     if os.path.exists(args.target):
-        with open(args.target, encoding="utf-8") as fh:
-            blocks = [b for b in fh.read().split("\n\n") if b.strip()]
         try:
-            ds = [diagram_from_text(b) for b in blocks]
+            with open(args.target, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {args.target}: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        try:
+            ds = [diagram_from_text(b) for b in text.split("\n\n") if b.strip()]
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--perm")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--force", action="store_true", help="allow n > 6")
+    p.add_argument("--force", action="store_true", help="allow --n > 6, --perm n > 7")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_stats)
 

@@ -8,10 +8,11 @@ superposition of EW and NS.  Pipes enter from the east edge of each row,
 end on the south edge, and may move west, south or up, but never east.
 
 Traversal directions are never stored: they are recomputed by tracing,
-which is also how validity is checked.  ``validate`` follows segments
-permissively and reports *all* violations (including pipes that move
-rightward through geometrically consistent tiles), while ``trace_pipes``
-is strict and raises :class:`TracingStuck` on the first bad step.
+which is also how validity is checked.  One tracer follows each pipe along
+the segment holding its entry side, records a rightward step as a
+violation and goes on, and audits segment use and crossings;
+``validate`` reports all of its violations, while ``trace_pipes`` raises
+:class:`TracingStuck` at the first bad step of a pipe.
 """
 
 from __future__ import annotations
@@ -68,33 +69,27 @@ _TEXT = bytes.maketrans(bytes(_KINDS), TILE_TEXT.encode())
 N, E, S, W = 0, 1, 2, 3
 SIDE_CHARS = "NESW"
 
-# strict routing: entry side -> exit side, -1 when the pipe cannot proceed
-# without moving rightward or the side carries no segment
-_NO = (-1, -1, -1, -1)
-STRICT_ROUTE = {
-    TileKind.BLANK: _NO,
-    TileKind.ES: (-1, S, -1, -1),
-    TileKind.WN: (W, -1, -1, -1),
-    TileKind.SW: (-1, -1, W, -1),
-    TileKind.NE: (-1, N, -1, -1),
-    TileKind.EW: (-1, W, -1, -1),
-    TileKind.NS: (S, -1, N, -1),
-    TileKind.CROSS: (S, W, N, -1),
-}
-# permissive routing follows the segment containing the entry side even
-# when the resulting motion is rightward (used for diagnostics)
-PERMISSIVE_ROUTE = {
-    TileKind.BLANK: _NO,
-    TileKind.ES: (-1, S, E, -1),
-    TileKind.WN: (W, -1, -1, N),
-    TileKind.SW: (-1, -1, W, S),
-    TileKind.NE: (E, N, -1, -1),
-    TileKind.EW: (-1, W, -1, E),
-    TileKind.NS: (S, -1, N, -1),
-    TileKind.CROSS: (S, W, N, E),
-}
+# entry side -> exit side, following the segment that holds the entry side;
+# exit + 4 marks a rightward step (entering from W or leaving through E) and
+# -1 a side with no segment.  Each tile's map pairs the two ends of each of
+# its segments, so it is an involution and tracing is reversible: no state
+# of a pipe entering from the east edge can repeat, and no two pipes share
+# one.
+ROUTE = (
+    (-1, -1, -1, -1),  # BLANK
+    (-1, S, E + 4, -1),  # ES
+    (W, -1, -1, N + 4),  # WN
+    (-1, -1, W, S + 4),  # SW
+    (E + 4, N, -1, -1),  # NE
+    (-1, W, -1, E + 4),  # EW
+    (S, -1, N, -1),  # NS
+    (S, W, N, E + 4),  # CROSS
+)
+# the segment use of a valid grid per tile, indexed by tile: passes along
+# the horizontal strand (or the only segment) in the low nibble and along
+# the vertical strand of a CROSS in the high one
+_EXPECTED_USAGE = bytes([0, 1, 1, 1, 1, 1, 1, 0x11]).ljust(256, b"\0")
 
-_B = int(TileKind.BLANK)
 _X = int(TileKind.CROSS)
 
 
@@ -142,158 +137,87 @@ class Diagram:
 # tracing
 
 
-def _trace_one(flat, n: int, row0: int, strict: bool):
-    """Trace the pipe entering from the east edge of 0-based row ``row0``.
+def _trace(flat, n: int):
+    """Trace every pipe and audit segment use and crossings.
 
-    Returns (steps, end_col, violations) with 0-based cells and int sides;
-    ``end_col`` is None unless the pipe ends on the south edge.  In strict
-    mode the violation list is at most one entry (the first failure).
+    Returns (end_cols, traces, violations).  A trace is the list of a
+    pipe's 0-based ``(idx, entry, exit)`` steps with int sides; the end
+    column is None unless the pipe ends on the south edge.  A rightward
+    step is a violation and the walk goes on; a side with no segment or an
+    exit off the north, west or east edge ends it.  Violations are tuples
+    led by their kind, pipe violations in pipe order first; the grid is
+    valid exactly when there are none.
     """
-    route = STRICT_ROUTE if strict else PERMISSIVE_ROUTE
-    steps = []
-    violations = []
-    r, c, entry = row0, n - 1, E
-    seen = set()
-    while True:
-        state = (r, c, entry)
-        if state in seen:
-            violations.append(("loop", r, c, entry))
-            return steps, None, violations
-        seen.add(state)
-        tile = flat[r * n + c]
-        out = route[tile][entry]
-        if out < 0:
-            violations.append(("stuck", r, c, entry))
-            return steps, None, violations
-        steps.append((r, c, entry, out))
-        if entry == W or out == E:
-            violations.append(("rightward", r, c, entry))
-        if out == S:
-            if r == n - 1:
-                return steps, c, violations
-            r, entry = r + 1, N
-        elif out == N:
-            if r == 0:
-                violations.append(("boundary", r, c, N))
-                return steps, None, violations
-            r, entry = r - 1, S
-        elif out == W:
-            if c == 0:
-                violations.append(("boundary", r, c, W))
-                return steps, None, violations
-            c, entry = c - 1, E
-        else:  # out == E
-            if c == n - 1:
-                violations.append(("boundary", r, c, E))
-                return steps, None, violations
-            c, entry = c + 1, W
-
-
-def _analyze(flat, n: int):
-    """Trace every pipe permissively and audit segment usage and crossings.
-
-    Returns (end_cols, traces, violations): ``end_cols`` is a list with
-    None for pipes that failed, traces hold 0-based raw steps, violations
-    are structured tuples.
-    """
-    traces = []
+    route = ROUTE
+    last = n - 1
     end_cols = []
-    violations = []
-    usage = [0] * (2 * n * n)
-    cross_owner: dict[tuple[int, int], list] = {}
-    for row0 in range(n):
-        steps, end, viol = _trace_one(flat, n, row0, strict=False)
-        traces.append(steps)
-        end_cols.append(end)
-        for v in viol:
-            violations.append(v + (row0,))
-        for r, c, entry, out in steps:
-            tile = flat[r * n + c]
-            strand = 1 if (tile == _X and entry != E and entry != W) else 0
-            usage[(r * n + c) * 2 + strand] += 1
-            if tile == _X:
-                cross_owner.setdefault((r, c), [None, None])[strand] = row0
-    for idx in range(n * n):
-        tile = flat[idx]
-        h, v = usage[2 * idx], usage[2 * idx + 1]
-        if tile == _B:
-            expect = (0, 0)
-        elif tile == _X:
-            expect = (1, 1)
-        else:
-            expect = (1, 0)
-        if (h, v) != expect:
-            violations.append(("usage", idx // n, idx % n, (h, v)))
-    pair_cells: dict[tuple[int, int], list] = {}
-    for (r, c), owners in cross_owner.items():
-        a, b = owners
-        if a is None or b is None or a == b:
-            continue  # accompanied by usage or rightward violations
-        pair_cells.setdefault((min(a, b), max(a, b)), []).append((r, c))
-    for pair, cells in sorted(pair_cells.items()):
-        if len(cells) > 1:
-            violations.append(("reduced", pair, tuple(sorted(cells))))
-    return end_cols, traces, violations
-
-
-def _fast_valid(flat, n: int):
-    """Cheap validity test for unpaired grids used by move enumeration.
-
-    Returns (end_cols, traces) on success, None on any violation.
-    """
     traces = []
-    end_cols = []
-    usage = [0] * (2 * n * n)
-    cross_owner: dict[int, list] = {}
-    route = STRICT_ROUTE
-    for row0 in range(n):
+    violations = []
+    usage = bytearray(n * n)  # each cell side is entered at most once
+    h_owner = {}  # CROSS idx -> the pipe on its horizontal strand
+    v_owner = {}  # CROSS idx -> the pipe on its vertical strand
+    for pipe in range(n):
         steps = []
-        r, c, entry = row0, n - 1, E
+        r, c, entry, idx = pipe, last, E, pipe * n + last
+        end = None
         while True:
-            idx = r * n + c
             tile = flat[idx]
             out = route[tile][entry]
             if out < 0:
-                return None
-            vertical = tile == _X and entry != E
+                violations.append(("stuck", r, c, entry, pipe))
+                break
+            if out > W:
+                out -= 4
+                violations.append(("rightward", r, c, entry, pipe))
             steps.append((idx, entry, out))
-            slot = 2 * idx + 1 if vertical else 2 * idx
-            if usage[slot]:
-                return None
-            usage[slot] = 1
-            if tile == _X:
-                own = cross_owner.setdefault(idx, [None, None])
-                own[1 if vertical else 0] = row0
+            if tile != _X:
+                usage[idx] += 1
+            elif entry & 1:  # E or W
+                usage[idx] += 1
+                h_owner[idx] = pipe
+            else:
+                usage[idx] += 0x10
+                v_owner[idx] = pipe
             if out == S:
-                if r == n - 1:
+                if r == last:
+                    end = c
                     break
-                r, entry = r + 1, N
+                r, idx, entry = r + 1, idx + n, N
+            elif out == W:
+                if c == 0:
+                    violations.append(("boundary", r, c, W, pipe))
+                    break
+                c, idx, entry = c - 1, idx - 1, E
             elif out == N:
                 if r == 0:
-                    return None
-                r, entry = r - 1, S
-            else:  # W
-                if c == 0:
-                    return None
-                c, entry = c - 1, E
+                    violations.append(("boundary", r, c, N, pipe))
+                    break
+                r, idx, entry = r - 1, idx - n, S
+            else:  # E
+                if c == last:
+                    violations.append(("boundary", r, c, E, pipe))
+                    break
+                c, idx, entry = c + 1, idx + 1, W
         traces.append(steps)
-        end_cols.append(c)
-    for idx in range(n * n):
-        tile = flat[idx]
-        if tile == _B:
-            continue
-        if not usage[2 * idx]:
-            return None
-        if (tile == _X) != bool(usage[2 * idx + 1]):
-            return None
-    pairs = set()
-    for owners in cross_owner.values():
-        a, b = owners
-        key = (a, b) if a < b else (b, a)
-        if key in pairs:
-            return None
-        pairs.add(key)
-    return end_cols, traces
+        end_cols.append(end)
+    expected = bytes(flat).translate(_EXPECTED_USAGE)
+    if usage != expected:
+        for idx, (u, x) in enumerate(zip(usage, expected)):
+            if u != x:
+                violations.append(("usage", idx // n, idx % n, (u & 15, u >> 4)))
+    crossings = [(h_owner.get(idx, -1), b) for idx, b in v_owner.items()]
+    pairs = [(a, b) if a < b else (b, a) for a, b in crossings]
+    if len(set(pairs)) < len(pairs):
+        pair_cells: dict[tuple[int, int], list] = {}
+        for idx, pair in zip(v_owner, pairs):
+            # a strand no pipe or one pipe alone uses has a usage or
+            # rightward violation already
+            if pair[0] >= 0 and pair[0] != pair[1]:
+                pair_cells.setdefault(pair, []).append(divmod(idx, n))
+        for pair, cells in sorted(pair_cells.items()):
+            if len(cells) > 1:
+                violations.append(("reduced", pair, tuple(sorted(cells))))
+    return end_cols, traces, violations
 
 
 def _format_violation(v) -> str:
@@ -313,9 +237,6 @@ def _format_violation(v) -> str:
             f"pipe {pipe + 1} leaves the grid at ({r + 1},{c + 1})"
             f" through side {SIDE_CHARS[side]}"
         )
-    if kind == "loop":
-        _, r, c, entry, pipe = v
-        return f"pipe {pipe + 1} loops at ({r + 1},{c + 1})"
     if kind == "usage":
         _, r, c, hv = v
         return f"segment usage {hv} at ({r + 1},{c + 1}) is not the tile's"
@@ -346,26 +267,32 @@ def _domino_violations(D: Diagram) -> list[str]:
 
 
 def trace_pipes(D: Diagram) -> tuple[PipeTrace, ...]:
-    """Trace all n pipes; raises :class:`TracingStuck` on the first failure."""
-    n = D.n
-    flat = D.flat()
-    out = []
-    for row0 in range(n):
-        steps, end, viol = _trace_one(flat, n, row0, strict=True)
-        if viol:
-            kind, r, c, side = viol[0][:4]
+    """Trace all n pipes; raises :class:`TracingStuck` at the first pipe fault.
+
+    The fault is the first rightward step, side with no segment or exit
+    off the grid; segment use and crossings are not checked here.
+    """
+    end_cols, traces, violations = _trace(D.flat(), D.n)
+    for v in violations:
+        if v[0] in ("stuck", "rightward", "boundary"):
+            kind, r, c, side = v[:4]
             raise TracingStuck((r + 1, c + 1), SIDE_CHARS[side], kind)
-        out.append(
-            PipeTrace(
-                start_row=row0 + 1,
-                steps=tuple(
-                    PipeStep((r + 1, c + 1), SIDE_CHARS[en], SIDE_CHARS[ex])
-                    for r, c, en, ex in steps
-                ),
-                end_col=end + 1,
-            )
+    n = D.n
+    return tuple(
+        PipeTrace(
+            start_row=row0 + 1,
+            steps=tuple(
+                PipeStep((idx // n + 1, idx % n + 1), SIDE_CHARS[en], SIDE_CHARS[ex])
+                for idx, en, ex in steps
+            ),
+            end_col=end + 1,
         )
-    return tuple(out)
+        for row0, (end, steps) in enumerate(zip(end_cols, traces))
+    )
+
+
+def _problems(D: Diagram, violations) -> list[str]:
+    return [_format_violation(v) for v in violations] + _domino_violations(D)
 
 
 def validate(D: Diagram) -> list[str]:
@@ -376,18 +303,25 @@ def validate(D: Diagram) -> list[str]:
     no two pipes cross twice, and the domino overlay sits on disjoint
     vertically adjacent blank pairs.
     """
-    _, _, violations = _analyze(D.flat(), D.n)
-    out = [_format_violation(v) for v in violations]
-    out.extend(_domino_violations(D))
-    return out
+    return _problems(D, _trace(D.flat(), D.n)[2])
+
+
+def _valid_trace(D: Diagram):
+    """``(flat, end_cols, traces)`` of a valid diagram, traced once.
+
+    Raises :class:`InvalidDiagram` with the messages of :func:`validate`.
+    """
+    flat = D.flat()
+    end_cols, traces, violations = _trace(flat, D.n)
+    problems = _problems(D, violations)
+    if problems:
+        raise InvalidDiagram(problems)
+    return flat, end_cols, traces
 
 
 def extract_permutation(D: Diagram) -> Permutation:
     """The permutation sending each start row to its pipe's end column."""
-    problems = validate(D)
-    if problems:
-        raise InvalidDiagram(problems)
-    end_cols, _ = _fast_valid(D.flat(), D.n)
+    _, end_cols, _ = _valid_trace(D)
     return make_permutation([c + 1 for c in end_cols])
 
 
@@ -534,6 +468,8 @@ def diagram_from_text(text: str) -> Diagram:
     if not lines:
         raise ValueError("empty diagram text")
     n = int(lines[0])
+    if n < 1:
+        raise ValueError(f"diagram size {n} is not positive")
     if len(lines) < 1 + n:
         raise ValueError(f"expected {n} grid lines")
     rows = []
@@ -546,6 +482,9 @@ def diagram_from_text(text: str) -> Diagram:
             raise ValueError(f"unknown tile character in {ln!r}") from exc
     dominoes = []
     for ln in lines[1 + n :]:
-        r, c = ln.split(",")
-        dominoes.append((int(r), int(c)))
+        try:
+            r, c = map(int, ln.split(","))
+        except ValueError:
+            raise ValueError(f"domino line {ln!r} is not two integers") from None
+        dominoes.append((r, c))
     return Diagram(n=n, tiles=tuple(rows), dominoes=frozenset(dominoes))

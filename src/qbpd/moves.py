@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
-from .diagram import Diagram, TileKind, _fast_valid, _pairings, rothe_diagram
+from .diagram import Diagram, TileKind, _pairings, _trace, rothe_diagram
 from .errors import MoveRejected, SizeLimit
 from .perm import Permutation
 
@@ -224,10 +224,9 @@ def _lift_candidates(flat, n, traces):
 
 
 def _pipe_steps(D: Diagram, pipe: int):
-    fv = _fast_valid(D.flat(), D.n)
-    if fv is None:
+    _, traces, violations = _trace(D.flat(), D.n)
+    if violations:
         raise MoveRejected("diagram is not a valid reduced pipe dream")
-    _, traces = fv
     if not 1 <= pipe <= D.n:
         raise MoveRejected(f"no pipe {pipe}")
     return {idx: (e, o) for idx, e, o in traces[pipe - 1]}
@@ -290,8 +289,7 @@ def apply_lift(D: Diagram, move: RectMove) -> Diagram:
 def _finish_move(D: Diagram, new) -> Diagram:
     if new is None:
         raise MoveRejected("rewrite would superimpose segments illegally")
-    fv = _fast_valid(new, D.n)
-    if fv is None:
+    if _trace(new, D.n)[2]:
         raise MoveRejected("result is not a valid reduced diagram")
     return Diagram.from_flat(D.n, new)
 
@@ -306,9 +304,8 @@ def _closure(w: Permutation, order: str = "bfs"):
         raise ValueError(f"unknown order {order!r}")
     n = w.n
     start = rothe_diagram(w).flat()
-    fv = _fast_valid(start, n)
-    assert fv is not None, "Rothe diagram must be valid"
-    target, traces0 = fv
+    target, traces0, violations = _trace(start, n)
+    assert not violations, "Rothe diagram must be valid"
     frontier = deque([(start, traces0)])
     seen = {bytes(start)}
     pop = frontier.popleft if order == "bfs" else frontier.pop
@@ -322,10 +319,9 @@ def _closure(w: Permutation, order: str = "bfs"):
             if key in seen:
                 continue
             seen.add(key)
-            fv = _fast_valid(new, n)
-            if fv is None:
+            ends, ntraces, violations = _trace(new, n)
+            if violations:
                 continue
-            ends, ntraces = fv
             assert ends == target, "moves must preserve the permutation"
             frontier.append((new, ntraces))
 

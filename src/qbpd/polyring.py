@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .errors import AmbientMismatch, InexactDivision, OutOfRange
+from .errors import AmbientMismatch, OutOfRange
 
 __all__ = ["Monomial", "Poly"]
 
@@ -307,15 +307,14 @@ class Poly:
         Each term m of f contributes m - s_i m, which is zero when m is
         symmetric in y_i, y_{i+1}.  Otherwise both m and its swapped
         negative are divided by y_i - y_{i+1} along the y_i exponent (via
-        y_i = (y_i - y_{i+1}) + y_{i+1}); the numerator is antisymmetric, so
-        the remainder must vanish, and a nonzero remainder raises
-        :class:`InexactDivision` and signals an arithmetic bug.
+        y_i = (y_i - y_{i+1}) + y_{i+1}); their remainders, y_{i+1}^{a+b}
+        with opposite signs, cancel, so the division is exact by
+        construction.
         """
         sa, sb = self._y_pair(i, "divided difference")
         ua, ub = 1 << sa, 1 << sb
         step = ua - ub
         quot: dict = {}
-        rem: dict = {}
         qget = quot.get
         for key, c in self._terms.items():
             a, b = key >> sa & 0xFF, key >> sb & 0xFF
@@ -331,17 +330,6 @@ class Poly:
             for _ in range(hi - lo):
                 quot[k2] = qget(k2, 0) + sign
                 k2 += step
-            k2 = base + (a + b) * ub
-            for cc in (c, -c):
-                s = rem.get(k2, 0) + cc
-                if s:
-                    rem[k2] = s
-                else:
-                    del rem[k2]
-        if rem:
-            raise InexactDivision(
-                f"division by y_{i} - y_{i + 1} left remainder with {len(rem)} terms"
-            )
         # quotient exponents are at most max(a, b) - 1, so none can overflow
         return Poly._raw(self.n, {k: c for k, c in quot.items() if c})
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from qbpd.cli import main
 from qbpd.perm import enumerate_symmetric_group
 
@@ -227,3 +229,31 @@ def test_verify_sample_below_one_exit_2(capsys):
 def test_stats_n_zero_is_out_of_range(capsys):
     code, out, err = run(capsys, "stats", "--n", "0")
     assert code == 2 and not out and "n must be >= 1" in err
+
+
+def test_stats_perm_size_guard(capsys):
+    code, out, err = run(capsys, "stats", "--perm", "21436587")
+    assert code == 2 and not out
+    assert "n = 8" in err and "--force" in err
+    code, out, _ = run(capsys, "stats", "--perm", "21436587", "--force")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read"),  # a directory
+        (b"1\n\xff\n", "cannot read"),
+        (b"0\n", "size 0 is not positive"),
+        (b"-1\nR\n", "size -1 is not positive"),
+        (b"2\nRH\nVR\n1,2,3\n", "domino line '1,2,3' is not two integers"),
+    ],
+    ids=["directory", "non-utf8", "size-0", "size-negative", "domino-3-values"],
+)
+def test_render_bad_file_exit_2(tmp_path, capsys, content, message):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+    code, out, err = run(capsys, "render", str(path))
+    assert code == 2 and not out and message in err

@@ -1,5 +1,9 @@
+import hashlib
+import random
+
 import pytest
 
+import qbpd.diagram
 from qbpd.diagram import (
     Diagram,
     TileKind,
@@ -215,3 +219,49 @@ def test_text_round_trip():
         diagram_from_text("2\n..\n.Z\n")
     with pytest.raises(ValueError):
         diagram_from_text("")
+
+
+def test_tracer_golden_random_grids():
+    # md5 over validate() and trace_pipes() (or the cell and side where it
+    # raises) on 20,000 random grids, pinned from the permissive/strict
+    # tracer pair that the single tracer replaced
+    rng = random.Random(5)
+    h = hashlib.md5()
+    for _ in range(20000):
+        n = rng.randint(1, 4)
+        D = Diagram.from_flat(n, [rng.randrange(8) for _ in range(n * n)])
+        problems = validate(D)
+        try:
+            traced = [
+                (t.start_row, [tuple(s) for s in t.steps], t.end_col)
+                for t in trace_pipes(D)
+            ]
+        except TracingStuck as exc:
+            traced = (exc.cell, exc.side)
+        h.update(f"{problems!r} {traced!r}\n".encode())
+        if problems:
+            with pytest.raises(InvalidDiagram) as info:
+                extract_permutation(D)
+            assert info.value.violations == problems
+        else:
+            assert extract_permutation(D).images == tuple(t[2] for t in traced)
+    assert h.hexdigest() == "4eda63a41080f67859bd8640fe44b071"
+
+
+def test_extract_and_weight_cells_trace_once(monkeypatch):
+    from qbpd.analysis import weight_cells
+
+    calls = []
+    trace = qbpd.diagram._trace
+
+    def counting(flat, n):
+        calls.append(n)
+        return trace(flat, n)
+
+    monkeypatch.setattr(qbpd.diagram, "_trace", counting)
+    D = rothe_diagram(make_permutation([4, 2, 1, 3]))
+    assert extract_permutation(D).images == (4, 2, 1, 3)
+    assert calls == [4]
+    calls.clear()
+    assert (1, 1) in weight_cells(D).E
+    assert calls == [4]

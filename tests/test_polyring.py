@@ -129,6 +129,8 @@ def test_divided_difference_random_properties():
         d = f.divided_difference_y(i)
         assert d.divided_difference_y(i).is_zero()
         assert d.swap_y(i) == d
+        # the division is exact
+        assert (Poly.y(i, n) - Poly.y(i + 1, n)) * d == f - f.swap_y(i)
         # braid relation
         j = rng.randint(1, n - 2)
         lhs = (
