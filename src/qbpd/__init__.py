@@ -21,8 +21,8 @@ _NAMES = {
         diagram_from_text diagram_to_text domino_pairings embed_diagram
         extract_permutation restrict_diagram rothe_diagram trace_pipes
         validate""",
-    "moves": """RectMove apply_droop apply_lift brute_force_enumerate
-        enumerate_qbpds enumerate_unpaired""",
+    "columns": "column_enumerate",
+    "moves": "RectMove apply_droop apply_lift enumerate_qbpds enumerate_unpaired",
     "oracle": """divided_difference_chain double_schubert_defining
         monk_residual q_interval quantum_double_schubert_defining
         quantum_double_schubert_transition quantum_e""",

@@ -1,0 +1,6 @@
+"""``python -m qbpd``: the ``qbpd`` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -10,7 +10,9 @@ polynomial of w.
 The expansion of each weight into unit monomials contributes 2^{|E|}
 "diagram monomials"; comparing with the merged polynomial's sum of
 absolute coefficients counts the cancelled pairs, reproducing the
-cancellation tables.
+cancellation tables.  Every factor of a weight belongs to one column, so
+the sum runs as a dynamic program over the column-state graph of
+``columns`` rather than diagram by diagram.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .diagram import Diagram, TileKind, _blank_runs, _valid_trace
+from .diagram import Diagram, TileKind, _valid_trace
 from .errors import IdentityPermutation, OutOfRange, SizeLimit
-from .moves import _closure
+from .columns import column_graph
 from .oracle import transition_rhs
 from .perm import Permutation, enumerate_symmetric_group, length
 from .polyring import Poly, _layout
@@ -44,6 +46,8 @@ __all__ = [
 
 _X = int(TileKind.CROSS)
 _B = int(TileKind.BLANK)
+_SW = int(TileKind.SW)
+_NE = int(TileKind.NE)
 _S_SIDE = 2
 
 
@@ -133,9 +137,10 @@ def is_classical_bpd(D: Diagram) -> bool:
 def _packed_width(n: int) -> int:
     """Bits per exponent field of the weight sum's packed keys.
 
-    Keys only multiply within one diagram's weight, whose exponents are at
-    most n (a cell adds at most one x_i or q_i of its row or y_j of its
-    column), so narrow fields never carry; they keep the keys small.
+    Keys only multiply within the weight of one diagram or of its columns
+    east of a boundary, whose exponents are at most n (a cell adds at most
+    one x_i or q_i of its row or y_j of its column), so narrow fields never
+    carry; they keep the keys small.
     """
     return (n + 1).bit_length()
 
@@ -160,15 +165,52 @@ def _run_terms(c: int, r0: int, r1: int, x, y, q):
     return list(cur.items())
 
 
+def _column_weight(c: int, tiles: bytes, x, y, q, F, G, runs: dict):
+    """(packed terms, G, F) of one column filling over all its pairings.
+
+    An upward run contributes q of every row it enters from the south:
+    -q for its SW corner and vertical tiles, +q for its crossings.  Each
+    maximal blank run contributes its continuant (cached in ``runs``),
+    and the scalar forms of that recurrence count the run's pairings,
+    F_L = F_{L-1} + F_{L-2}, and expanded terms, G_L = 2 G_{L-1} + G_{L-2}.
+    """
+    key, sign, f, g = 0, 1, 1, 1
+    terms = [(0, 1)]
+    up = False
+    top = -1  # first row of the current blank run
+    for r, t in enumerate(tiles + b"\xff"):  # the sentinel ends a bottom run
+        if t == _B:
+            if top < 0:
+                top = r
+            continue
+        if top >= 0:
+            run = (c, top, r - 1)
+            factor = runs.get(run)
+            if factor is None:
+                factor = runs[run] = _run_terms(c, top, r - 1, x, y, q)
+            terms = [(k + rk, v * rv) for k, v in terms for rk, rv in factor]
+            f *= F[r - top]
+            g *= G[r - top]
+            top = -1
+        if t == _SW:
+            up = True
+        elif t == _NE:
+            up = False
+        if up:
+            key += q[r]
+            if t != _X:
+                sign = -sign
+    return [(k + key, v * sign) for k, v in terms], g, f
+
+
 def _accumulate(w: Permutation):
     """(packed term dict of T_w, sum of 2^{|E|}, number of diagrams).
 
-    Dominoes pair only vertically adjacent blanks of one column, so the
-    weights of all pairings of an unpaired diagram sum to its signed base
-    q monomial times one continuant per maximal vertical blank run.  The
-    scalar forms of that recurrence count the pairings of a run of L
-    blanks, F_L = F_{L-1} + F_{L-2}, and their expanded terms,
-    G_L = 2 G_{L-1} + G_{L-2} (each unpaired blank doubles them).
+    A dynamic program over the column-state graph, east to west: each
+    state keeps the summed weights, expanded-term count and diagram count
+    of the partial diagrams reaching it, and a filling multiplies them by
+    its column's weight.  Dominoes pair only vertically adjacent blanks of
+    one column, so one column weight covers all pairings of its filling.
     """
     n = w.n
     units = [1 << s for s in _layout(n, _packed_width(n))]
@@ -178,43 +220,38 @@ def _accumulate(w: Permutation):
         F.append(F[-1] + F[-2])
         G.append(2 * G[-1] + G[-2])
     runs: dict = {}
-    acc: dict = {}
-    get = acc.get
-    qbpd_monomials = count = 0
-    for flat, traces in _closure(w):
-        q_cross, nq = _q_cells(flat, n, traces)
-        terms = {sum(q[r] for r, _ in q_cross + nq): (-1) ** len(nq)}
-        factors = []
-        f = g = 1
-        for key in _blank_runs(flat, n):
-            c, r0, r1 = key
-            run = runs.get(key)
-            if run is None:
-                run = runs[key] = _run_terms(c, r0, r1, x, y, q)
-            factors.append(run)
-            f *= F[r1 - r0 + 1]
-            g *= G[r1 - r0 + 1]
-        qbpd_monomials += g
-        count += f
-        factors.sort(key=len)
-        last = factors.pop() if factors else [(0, 1)]
-        for run in factors:
-            new: dict = {}
-            for k, v in terms.items():
-                for rk, rv in run:
-                    new[k + rk] = new.get(k + rk, 0) + v * rv
-            terms = new
-        # within one diagram a term's sign is fixed by its y-degree, so no
-        # coefficient of ``terms`` is zero; only the sum over diagrams cancels
-        for k, v in terms.items():
-            for rk, rv in last:
-                t = k + rk
-                s = get(t, 0) + v * rv
-                if s:
-                    acc[t] = s
-                else:
-                    del acc[t]
-    return acc, qbpd_monomials, count
+    cur = {tuple(range(n)): [{0: 1}, 1, 1]}
+    for depth, layer in enumerate(column_graph(w)):
+        c = n - 1 - depth
+        weights: dict = {}
+        nxt: dict = {}
+        # largest first, each freed once spent: the next boundary grows as
+        # this one shrinks
+        for state in sorted(cur, key=lambda s: len(cur[s][0]), reverse=True):
+            poly, g, f = cur.pop(state)
+            for new, tiles in layer[state]:
+                weight = weights.get(tiles)
+                if weight is None:
+                    weight = _column_weight(c, tiles, x, y, q, F, G, runs)
+                    weights[tiles] = weight
+                terms, tg, tf = weight
+                entry = nxt.get(new)
+                if entry is None:
+                    entry = nxt[new] = [{}, 0, 0]
+                acc = entry[0]
+                get = acc.get
+                for k, v in poly.items():
+                    for tk, tv in terms:
+                        t = k + tk
+                        s = get(t, 0) + v * tv
+                        if s:
+                            acc[t] = s
+                        else:
+                            del acc[t]
+                entry[1] += g * tg
+                entry[2] += f * tf
+        cur = nxt
+    return tuple(cur[()])
 
 
 def qbpd_polynomial(w: Permutation) -> Poly:

@@ -11,6 +11,7 @@ Verbs import what they use when they run, so ``enum`` loads no ``Poly`` code.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -31,20 +32,28 @@ def _perm(text: str) -> Permutation:
         raise SystemExit(USAGE_ERROR)
 
 
-def _sized_perm(args) -> Permutation:
-    """The ``perm`` argument; n above 7 must be forced, like large sweeps."""
-    w = _perm(args.perm)
-    if w.n > 7 and not args.force:
-        raise SizeLimit(f"{args.verb} with n = {w.n} > 7 must be forced with --force")
+def _size_guard(args, n: int):
+    """n above 7 must be forced with ``--force``, like large sweeps."""
+    if n > 7 and not args.force:
+        raise SizeLimit(f"{args.verb} with n = {n} > 7 must be forced with --force")
+
+
+def _sized_perm(args, text: str) -> Permutation:
+    w = _perm(text)
+    _size_guard(args, w.n)
     return w
 
 
 def _write(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +61,7 @@ def _write(text: str, out: str | None):
 
 
 def cmd_enum(args) -> int:
-    w = _sized_perm(args)
+    w = _sized_perm(args, args.perm)
     ds = moves.flat_diagrams(w, unpaired=args.unpaired)
     print(len(ds))
     if not args.count:
@@ -63,7 +72,7 @@ def cmd_enum(args) -> int:
 def cmd_poly(args) -> int:
     from . import analysis, oracle
 
-    w = _sized_perm(args)
+    w = _sized_perm(args, args.perm)
     if args.mode == "qbpd":
         p = analysis.qbpd_polynomial(w)
     elif args.mode == "oracle":
@@ -114,7 +123,7 @@ def cmd_stats(args) -> int:
         print("error: give exactly one of --n or --perm", file=sys.stderr)
         return USAGE_ERROR
     if args.perm:
-        s = analysis.cancellation_stats(_sized_perm(args))
+        s = analysis.cancellation_stats(_sized_perm(args, args.perm))
         if args.format == "csv":
             _write(f"{CSV_HEADER}\n{s.perm.to_text()},{_stats_text(s)}\n", args.out)
         elif args.format == "json":
@@ -153,13 +162,28 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _verify_perms(n, sample, seed):
-    perms = list(enumerate_symmetric_group(n))
-    if sample and sample < len(perms):
-        import random
+def _nth_perm(n: int, index: int) -> Permutation:
+    """The permutation at ``index`` of S_n in lexicographic order."""
+    values = list(range(1, n + 1))
+    images = []
+    for k in range(n - 1, -1, -1):
+        digit, index = divmod(index, math.factorial(k))
+        images.append(values.pop(digit))
+    return Permutation(tuple(images))
 
-        perms = random.Random(seed).sample(perms, sample)
-    return perms
+
+def _verify_perms(n, sample, seed):
+    """S_n, or ``sample`` of it drawn by lexicographic index without listing it.
+
+    The draw is the one ``random.Random(seed).sample`` makes from the list
+    of S_n, since it picks positions from the population's length alone.
+    """
+    if not sample or n < 1 or sample >= math.factorial(n):
+        return enumerate_symmetric_group(n)
+    import random
+
+    indices = random.Random(seed).sample(range(math.factorial(n)), sample)
+    return [_nth_perm(n, i) for i in indices]
 
 
 def cmd_verify(args) -> int:
@@ -168,6 +192,7 @@ def cmd_verify(args) -> int:
     if args.sample is not None and args.sample < 1:
         raise OutOfRange(f"--sample must be >= 1, got {args.sample}")
     n = args.n
+    _size_guard(args, n)
     failures = []
     checked = 0
     if args.check == "theorem":
@@ -192,10 +217,12 @@ def cmd_verify(args) -> int:
                 if not oracle.monk_residual(k, w).is_zero():
                     failures.append(f"k={k}, {w}: nonzero Monk residual")
     elif args.check == "closure":
+        from .columns import column_enumerate
+
         for w in enumerate_symmetric_group(n):
             checked += 1
-            if moves.enumerate_qbpds(w) != moves.brute_force_enumerate(w):
-                failures.append(f"{w}: move closure differs from brute force")
+            if moves.enumerate_qbpds(w) != column_enumerate(w):
+                failures.append(f"{w}: move closure differs from column enumeration")
     else:  # stability
         for w in enumerate_symmetric_group(n):
             checked += 1
@@ -240,7 +267,7 @@ def cmd_render(args) -> int:
             return USAGE_ERROR
         D = ds[_pick(len(ds), args.index)]
     else:
-        w = _perm(args.target)
+        w = _sized_perm(args, args.target)
         pool = moves.flat_diagrams(w, unpaired=args.unpaired)
         D = Diagram.from_flat(w.n, *pool[_pick(len(pool), args.index)])
     text = render_svg(D) if args.format == "svg" else render_ascii(D)
@@ -294,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--sample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--force", action="store_true", help="allow n > 7")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("render", help="draw a diagram")
@@ -301,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p.add_argument("--index", type=int, default=1, help="1-based, canonical order")
     p.add_argument("--unpaired", action="store_true")
+    p.add_argument("--force", action="store_true", help="allow n > 7")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_render)
     return ap

@@ -1,4 +1,4 @@
-"""Droop and lift moves, move-closure enumeration, and a brute-force oracle.
+"""Droop and lift moves and move-closure enumeration.
 
 A droop reroutes a pipe's ES corner to the opposite corner of a rectangle:
 the pipe turns south at the rectangle's northeast cell, runs down its east
@@ -12,9 +12,9 @@ move is rejected when a rewritten cell would not be a legal tile (a second
 segment only ever forms the CROSS) or when the result fails validity or
 reducedness.  Closure from the Rothe diagram under both moves enumerates
 every unpaired diagram of the permutation; dominoes are paired afterwards.
-The independent brute-force enumerator routes pipes one at a time as
-self-avoiding west/north/south lattice paths and is the oracle for closure
-completeness on small sizes.
+The closure serves ``enum`` and ``render``; the weight sum in ``analysis``
+does not use it.  Its completeness is checked against the paths of the
+column-state graph (``columns.column_enumerate``), which never uses a move.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .diagram import Diagram, TileKind, _pairings, _trace, rothe_diagram
-from .errors import MoveRejected, SizeLimit
+from .errors import MoveRejected
 from .perm import Permutation
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "flat_diagrams",
     "enumerate_unpaired",
     "enumerate_qbpds",
-    "brute_force_enumerate",
 ]
 
 _B = int(TileKind.BLANK)
@@ -298,8 +297,8 @@ def _finish_move(D: Diagram, new) -> Diagram:
 # enumeration
 
 
-def _closure(w: Permutation, order: str = "bfs"):
-    """Yield ``(flat, traces)`` once per diagram of :func:`enumerate_unpaired`."""
+def _closure(w: Permutation, order: str = "bfs") -> list[bytes]:
+    """The tile bytes of every diagram of :func:`enumerate_unpaired`."""
     if order not in ("bfs", "dfs"):
         raise ValueError(f"unknown order {order!r}")
     n = w.n
@@ -307,11 +306,11 @@ def _closure(w: Permutation, order: str = "bfs"):
     target, traces0, violations = _trace(start, n)
     assert not violations, "Rothe diagram must be valid"
     frontier = deque([(start, traces0)])
-    seen = {bytes(start)}
+    tilings = [bytes(start)]
+    seen = set(tilings)
     pop = frontier.popleft if order == "bfs" else frontier.pop
     while frontier:
         flat, traces = pop()
-        yield flat, traces
         for new in chain(
             _droop_candidates(flat, n, traces), _lift_candidates(flat, n, traces)
         ):
@@ -323,7 +322,9 @@ def _closure(w: Permutation, order: str = "bfs"):
             if violations:
                 continue
             assert ends == target, "moves must preserve the permutation"
+            tilings.append(key)
             frontier.append((new, ntraces))
+    return tilings
 
 
 def flat_diagrams(w: Permutation, unpaired: bool = False, order: str = "bfs"):
@@ -334,7 +335,7 @@ def flat_diagrams(w: Permutation, unpaired: bool = False, order: str = "bfs"):
     strategy (bfs or dfs) and does not change the list.
     """
     n = w.n
-    tilings = sorted(bytes(flat) for flat, _ in _closure(w, order))
+    tilings = sorted(_closure(w, order))
     if unpaired:
         return [(tiles, ()) for tiles in tilings]
     return [(tiles, dominoes) for tiles in tilings for dominoes in _pairings(tiles, n)]
@@ -356,78 +357,3 @@ def enumerate_unpaired(w: Permutation, order: str = "bfs") -> set[Diagram]:
 def enumerate_qbpds(w: Permutation) -> set[Diagram]:
     """All diagrams of w: unpaired closure plus every domino pairing."""
     return _diagrams(w.n, flat_diagrams(w))
-
-
-def brute_force_enumerate(w: Permutation) -> set[Diagram]:
-    """Exhaustive enumeration by routing pipes as lattice paths (n <= 5).
-
-    Pipe i runs from the east edge of row i to the south edge of column
-    w(i) by west/north/south steps; cells are shared only as perpendicular
-    crossings and each pair of pipes crosses at most once.  Dominoes are
-    paired at the end.  Independent of the move machinery.
-    """
-    n = w.n
-    if n > 5:
-        raise SizeLimit("brute force enumeration is limited to n <= 5")
-    targets = [v - 1 for v in w.images]
-    grid = [_B] * (n * n)
-    owners: dict[int, int] = {}  # cell -> pipe owning its first segment
-    crossed: set[tuple[int, int]] = set()
-    results = []
-
-    seg_for = {
-        (E, W): _EW, (E, S): _ES, (E, N): _NE,
-        (N, W): _WN, (N, S): _NS,
-        (S, W): _SW, (S, N): _NS,
-    }
-    exits_for = {E: (W, S, N), N: (W, S), S: (W, N)}
-
-    def extend(pipe: int, r: int, c: int, entry: int):
-        idx = r * n + c
-        old = grid[idx]
-        for out in exits_for[entry]:
-            seg = seg_for[(entry, out)]
-            if old == _B:
-                pair = None
-            elif (old, seg) in ((_EW, _NS), (_NS, _EW)):
-                other = owners[idx]
-                if other == pipe:
-                    continue
-                pair = (other, pipe)
-                if pair in crossed:
-                    continue
-            else:
-                continue
-            if out == W and c == 0:
-                continue
-            if out == N and r == 0:
-                continue
-            if out == S and r == n - 1 and c != targets[pipe]:
-                continue
-            grid[idx] = seg if old == _B else _X
-            if old == _B:
-                owners[idx] = pipe
-            if pair is not None:
-                crossed.add(pair)
-            if out == S and r == n - 1:
-                route(pipe + 1)
-            elif out == W:
-                extend(pipe, r, c - 1, E)
-            elif out == S:
-                extend(pipe, r + 1, c, N)
-            else:
-                extend(pipe, r - 1, c, S)
-            grid[idx] = old
-            if old == _B:
-                del owners[idx]
-            if pair is not None:
-                crossed.discard(pair)
-
-    def route(pipe: int):
-        if pipe == n:
-            results.append(tuple(grid))
-            return
-        extend(pipe, pipe, n - 1, E)
-
-    route(0)
-    return _diagrams(n, [(f, m) for f in set(results) for m in _pairings(f, n)])

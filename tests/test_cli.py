@@ -257,3 +257,75 @@ def test_render_bad_file_exit_2(tmp_path, capsys, content, message):
         path.write_bytes(content)
     code, out, err = run(capsys, "render", str(path))
     assert code == 2 and not out and message in err
+
+
+def test_out_to_missing_directory_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "enum", "123", "--out", str(target))
+    assert code == 2
+    assert f"error: cannot write {target}: No such file or directory" in err
+    assert not target.parent.exists()
+
+
+def test_out_to_directory_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "poly", "123", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert f"error: cannot write {tmp_path}: Is a directory" in err
+
+
+def test_verify_size_guard(capsys):
+    # forcing n = 8 is not run: a full S_8 suite takes hours
+    for check in ("theorem", "closure"):
+        code, out, err = run(capsys, "verify", check, "--n", "8")
+        assert code == 2 and not out
+        assert "verify with n = 8" in err and "--force" in err
+
+
+def test_render_perm_size_guard(capsys):
+    code, out, err = run(capsys, "render", "12345687")
+    assert code == 2 and not out
+    assert "render with n = 8" in err and "--force" in err
+    code, out, _ = run(capsys, "render", "12345687", "--force", "--index", "7")
+    assert code == 0 and out
+
+
+def test_verify_sample_draws_as_list_sampling():
+    import random
+
+    from qbpd.cli import _nth_perm, _verify_perms
+
+    for n in range(3, 8):
+        group = list(enumerate_symmetric_group(n))
+        assert [_nth_perm(n, i) for i in range(0, len(group), 7)] == group[::7]
+        for seed in range(5):
+            for k in (1, 2, 5, 23, 100, 500):
+                if k < len(group):
+                    expected = random.Random(seed).sample(group, k)
+                    assert _verify_perms(n, k, seed) == expected
+                else:
+                    assert list(_verify_perms(n, k, seed)) == group
+
+
+def test_python_m_qbpd():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qbpd
+
+    src = str(Path(qbpd.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "qbpd", "enum", "4213", "--count"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0 and result.stdout == "5\n"
+    result = subprocess.run(
+        [sys.executable, "-m", "qbpd", "enum", "1223"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 2 and result.stderr.startswith("error:")

@@ -1,0 +1,60 @@
+"""The column-state graph: its paths and the weight sum run over it."""
+
+import hashlib
+
+from qbpd.analysis import _accumulate, cancellation_stats
+from qbpd.columns import _column_moves, column_enumerate, column_graph
+from qbpd.moves import enumerate_qbpds
+from qbpd.perm import enumerate_symmetric_group, make_permutation
+
+
+def test_column_enumerate_equals_closure_s6():
+    for n in range(1, 7):
+        for w in enumerate_symmetric_group(n):
+            assert column_enumerate(w) == enumerate_qbpds(w), w
+
+
+def test_accumulate_golden_s6():
+    # digest computed with the per-diagram expansion over the move closure
+    h = hashlib.md5()
+    for w in enumerate_symmetric_group(6):
+        acc, G, F = _accumulate(w)
+        h.update(repr((w.images, sorted(acc.items()), G, F)).encode())
+    assert h.hexdigest() == "b2a5d8fafbeb34f58a2d00b91bee99f1"
+
+
+def test_cancellation_stats_4721653():
+    # poly_monomials agrees with the transition oracle's term count
+    s = cancellation_stats(make_permutation([4, 7, 2, 1, 6, 5, 3]))
+    assert (s.poly_monomials, s.qbpd_monomials, s.cancellations, s.qbpd_count) == (
+        789903,
+        1430023,
+        320060,
+        9298,
+    )
+
+
+def test_column_moves_of_one_column():
+    # tiles: 0 blank, 1 ES, 2 WN, 3 SW, 4 NE, 5 EW, 6 NS, 7 CROSS
+    def moves(rows, k):
+        return {tiles: new for new, tiles in _column_moves(rows, k, 3)}
+
+    # pipe 1 ends here from row 2; pipe 0 on row 0 runs down to row 1 or
+    # passes, and no upward run can open on row 1 with no closer below
+    assert moves((0, 2), 1) == {bytes([1, 2, 1]): (1,), bytes([5, 0, 1]): (0,)}
+    # pipe 0 on row 1 closes an upward run from row 0, or passes
+    assert moves((1, 2), 1) == {bytes([3, 4, 1]): (0,), bytes([0, 5, 1]): (1,)}
+    # pipes 0 and 1 have crossed already, so pipe 0 may not cross the run
+    # of pipe 1 down to the bottom edge: a dead end
+    assert moves((2, 0), 1) == {}
+
+
+def test_fillings_of_a_state_are_distinct():
+    # a state and its filling's tiles fix the next state, so distinct
+    # fillings make distinct paths: the set comparison above hides no
+    # duplicate diagram
+    for n in range(1, 6):
+        for w in enumerate_symmetric_group(n):
+            for layer in column_graph(w):
+                for moves in layer.values():
+                    assert len({tiles for _, tiles in moves}) == len(moves)

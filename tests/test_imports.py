@@ -7,11 +7,11 @@ from pathlib import Path
 
 import qbpd
 
-# Every name ``qbpd`` exported when it imported all of its submodules eagerly.
+# Every name ``qbpd`` exports.
 EXPORTED = """
     CancellationStats Diagram Monomial Permutation PipeStep PipeTrace Poly
     RectMove SweepSummary TileKind TransitionData WeightCells apply_droop
-    apply_lift brute_force_enumerate bwt cancellation_stats canonical_key
+    apply_lift bwt cancellation_stats canonical_key column_enumerate
     diagram_from_text diagram_to_text divided_difference_chain domino_pairings
     double_schubert_defining embed embed_diagram enumerate_qbpds
     enumerate_symmetric_group enumerate_unpaired extract_permutation

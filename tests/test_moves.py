@@ -1,6 +1,7 @@
 import pytest
 
 from qbpd.analysis import bwt, weight_cells
+from qbpd.columns import column_enumerate
 from qbpd.diagram import (
     diagram_from_text,
     extract_permutation,
@@ -12,7 +13,6 @@ from qbpd.moves import (
     RectMove,
     apply_droop,
     apply_lift,
-    brute_force_enumerate,
     enumerate_qbpds,
     enumerate_unpaired,
 )
@@ -108,16 +108,16 @@ def test_moves_preserve_permutation_and_degree(n):
             assert len(cells.E) + 2 * len(cells.Q) + 2 * len(cells.NQ) == lw
 
 
-def test_brute_force_small():
+def test_column_enumerate_small():
     ident = make_permutation([1, 2, 3])
-    assert brute_force_enumerate(ident) == {rothe_diagram(ident)}
+    assert column_enumerate(ident) == {rothe_diagram(ident)}
     w = make_permutation([4, 2, 1, 3])
-    assert brute_force_enumerate(w) == enumerate_qbpds(w)
+    assert column_enumerate(w) == enumerate_qbpds(w)
     with pytest.raises(SizeLimit):
-        brute_force_enumerate(make_permutation([6, 1, 5, 4, 3, 2]))
+        column_enumerate(make_permutation([8, 1, 7, 6, 5, 4, 3, 2]))
 
 
-def test_closure_matches_brute_force_spot_s5():
+def test_closure_matches_column_enumerate_spot_s5():
     for images in ([2, 1, 4, 3, 5], [1, 3, 2, 5, 4], [3, 1, 2, 5, 4]):
         w = make_permutation(images)
-        assert enumerate_qbpds(w) == brute_force_enumerate(w)
+        assert enumerate_qbpds(w) == column_enumerate(w)
