@@ -211,7 +211,7 @@ def cmd_verify(args) -> int:
             if not analysis.verify_transition(w).is_zero():
                 failures.append(f"{w}: nonzero transition residual")
     elif args.check == "monk":
-        for w in enumerate_symmetric_group(n):
+        for w in _verify_perms(n, args.sample, args.seed):
             for k in range(1, n):
                 checked += 1
                 if not oracle.monk_residual(k, w).is_zero():
@@ -219,12 +219,12 @@ def cmd_verify(args) -> int:
     elif args.check == "closure":
         from .columns import column_enumerate
 
-        for w in enumerate_symmetric_group(n):
+        for w in _verify_perms(n, args.sample, args.seed):
             checked += 1
             if moves.enumerate_qbpds(w) != column_enumerate(w):
                 failures.append(f"{w}: move closure differs from column enumeration")
     else:  # stability
-        for w in enumerate_symmetric_group(n):
+        for w in _verify_perms(n, args.sample, args.seed):
             checked += 1
             lifted = analysis.qbpd_polynomial(embed(w, n + 1))
             if lifted != analysis.qbpd_polynomial(w).embed(n + 1):

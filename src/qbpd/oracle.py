@@ -5,7 +5,12 @@ Two independent routes are provided for the quantum double family:
 * the defining formula: the top polynomial for the longest permutation is
   a product of quantum elementary polynomials E_k^k (coefficients of the
   characteristic polynomial of a tridiagonal matrix), and every other
-  polynomial is a signed chain of divided differences in the y variables;
+  polynomial is a signed chain of divided differences in the y variables.
+  The top is never expanded.  E_k^k(x_1 - y_{n-k}, ..., x_k - y_{n-k})
+  holds y_{n-k} alone, so the chain keeps blocks with disjoint y indices,
+  and by the Leibniz rule d_j(f g) = d_j(f) g for g free of y_j and
+  y_{j+1}, each d_j multiplies and divides only the blocks holding one of
+  them; the blocks are multiplied once, at the end;
 * the transition recursion, which rewrites the polynomial of w in terms of
   polynomials of permutations that are smaller in the termination order
   (largest moved point, then position of its preimage).
@@ -17,6 +22,8 @@ defining route.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import mul
 from typing import Sequence
 
 from .errors import OutOfRange, SizeMismatch
@@ -74,55 +81,75 @@ def quantum_e(i: int, k: int, z: Sequence[Poly]) -> Poly:
     return cur[i]
 
 
-def _w0_images(n: int) -> tuple[int, ...]:
-    return tuple(range(n, 0, -1))
+def _quantum_top(n: int) -> tuple[tuple[frozenset, Poly], ...]:
+    """The factors E_k^k(x_1 - y_{n-k}, ..., x_k - y_{n-k}), k = 1..n-1.
+
+    Factor k holds y_{n-k} alone, so each is returned as a block
+    ``({n - k}, poly)``.
+    """
+    return tuple(
+        (
+            frozenset({n - k}),
+            quantum_e(k, k, [Poly.x_minus_y(i, n - k, n) for i in range(1, k + 1)]),
+        )
+        for k in range(1, n)
+    )
 
 
-def _quantum_top(n: int) -> Poly:
-    """Product over k of E_k^k(x_1 - y_{n-k}, ..., x_k - y_{n-k})."""
-    acc = Poly.one(n)
-    for k in range(1, n):
-        z = [Poly.x_minus_y(j, n - k, n) for j in range(1, k + 1)]
-        acc = acc * quantum_e(k, k, z)
-    return acc
-
-
-def _classical_top(n: int) -> Poly:
-    """Product of (x_i - y_j) over i + j <= n."""
-    acc = Poly.one(n)
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
+def _classical_top(n: int) -> tuple[tuple[frozenset, Poly], ...]:
+    """The product of (x_i - y_j) over i + j <= n, one block per j."""
+    blocks = []
+    for j in range(1, n):
+        acc = Poly.one(n)
+        for i in range(1, n - j + 1):
             acc = acc * Poly.x_minus_y(i, j, n)
-    return acc
+        blocks.append((frozenset({j}), acc))
+    return tuple(blocks)
 
 
 # Caches for the divided-difference chains, keyed by one-line notation.
 # The chain runs down the left weak order: if value j appears before value
-# j+1 in w, then R(w) = d_j(R(s_j w)); R(w0) is the top polynomial.
-_quantum_chain: dict[tuple[int, ...], Poly] = {}
-_classical_chain: dict[tuple[int, ...], Poly] = {}
+# j+1 in w, then R(w) = d_j(R(s_j w)); R(w0) is the top polynomial.  Each
+# entry is a tuple of blocks (y indices, factor) whose product is R(w), the
+# y indices of the blocks being disjoint; blocks are shared between entries.
+_quantum_chain: dict[tuple[int, ...], tuple] = {}
+_classical_chain: dict[tuple[int, ...], tuple] = {}
 
 
-def _chain(images: tuple[int, ...], cache: dict, top) -> Poly:
+def _chain(images: tuple[int, ...], cache: dict, top) -> tuple:
     cached = cache.get(images)
     if cached is not None:
         return cached
     n = len(images)
-    if images == _w0_images(n):
-        poly = top(n)
+    if images == tuple(range(n, 0, -1)):
+        blocks = top(n)
     else:
         j = next(v for v in range(1, n) if images.index(v) < images.index(v + 1))
         lifted = tuple(v + 1 if v == j else v - 1 if v == j + 1 else v for v in images)
-        poly = _chain(lifted, cache, top).divided_difference_y(j)
-    cache[images] = poly
-    return poly
+        # d_j(f g) = d_j(f) g when g has neither y_j nor y_{j+1}, so d_j
+        # acts on the product of the blocks that hold one of them.
+        pair = {j, j + 1}
+        touched, kept = [], []
+        for block in _chain(lifted, cache, top):
+            (touched if block[0] & pair else kept).append(block)
+        ys = frozenset().union(*(b[0] for b in touched))
+        merged = _product((p for _, p in touched), n).divided_difference_y(j)
+        blocks = (*kept, (ys, merged))
+    cache[images] = blocks
+    return blocks
+
+
+def _product(polys, n: int) -> Poly:
+    """The product of ``polys``, smallest first."""
+    polys = sorted(polys, key=len)
+    return reduce(mul, polys) if polys else Poly.one(n)
 
 
 def _signed_chain(w: Permutation, cache: dict, top) -> Poly:
     n = w.n
-    poly = _chain(w.images, cache, top)
-    sign = (-1) ** (length(make_permutation(_w0_images(n))) - length(w))
-    return poly if sign == 1 else -poly
+    blocks = _chain(w.images, cache, top)
+    poly = _product((p for _, p in blocks), n)
+    return poly if (n * (n - 1) // 2 - length(w)) % 2 == 0 else -poly
 
 
 def quantum_double_schubert_defining(w: Permutation) -> Poly:

@@ -228,6 +228,10 @@ class Poly:
     def __bool__(self):
         return bool(self._terms)
 
+    def __len__(self):
+        """The number of stored terms."""
+        return len(self._terms)
+
     # -- structure ---------------------------------------------------------
 
     def terms(self) -> dict[Monomial, int]:

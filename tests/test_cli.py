@@ -226,6 +226,17 @@ def test_verify_sample_below_one_exit_2(capsys):
     assert code == 0 and "2 checks, ok" in out
 
 
+def test_verify_sample_applies_to_every_check(capsys):
+    # monk checks each k = 1..n-1 of every sampled permutation
+    for check, n, sample, checks in (
+        ("closure", "4", "2", 2),
+        ("monk", "3", "1", 2),
+        ("stability", "3", "1", 1),
+    ):
+        code, out, _ = run(capsys, "verify", check, "--n", n, "--sample", sample)
+        assert code == 0 and f"n={n}: {checks} checks, ok" in out
+
+
 def test_stats_n_zero_is_out_of_range(capsys):
     code, out, err = run(capsys, "stats", "--n", "0")
     assert code == 2 and not out and "n must be >= 1" in err

@@ -169,3 +169,84 @@ def test_word_independence():
             assert divided_difference_chain(top, first) == divided_difference_chain(
                 top, last
             )
+
+
+def expanded_quantum_top(n):
+    acc = Poly.one(n)
+    for k in range(1, n):
+        acc = acc * quantum_e(k, k, [Poly.x_minus_y(i, n - k, n) for i in range(1, k + 1)])
+    return acc
+
+
+def expanded_classical_top(n):
+    acc = Poly.one(n)
+    for i in range(1, n):
+        for j in range(1, n - i + 1):
+            acc = acc * Poly.x_minus_y(i, j, n)
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_top_blocks_split_the_expanded_top(n):
+    from qbpd.oracle import _classical_top, _quantum_top
+
+    for top, expanded in (
+        (_quantum_top, expanded_quantum_top),
+        (_classical_top, expanded_classical_top),
+    ):
+        blocks = top(n)
+        product = Poly.one(n)
+        for ys, poly in blocks:
+            for m in poly.terms():
+                assert {j for j, e in enumerate(m.yexp, 1) if e} <= ys
+            product = product * poly
+        seen = [j for ys, _ in blocks for j in ys]
+        assert len(seen) == len(set(seen))
+        assert product == expanded(n)
+
+
+def test_defining_equals_chain_on_expanded_top():
+    import random
+
+    from qbpd.perm import reduced_word
+
+    cases = list(enumerate_symmetric_group(5)) + random.Random(7).sample(
+        list(enumerate_symmetric_group(6)), 40
+    )
+    for route, expanded in (
+        (quantum_double_schubert_defining, expanded_quantum_top),
+        (double_schubert_defining, expanded_classical_top),
+    ):
+        tops = {n: expanded(n) for n in (5, 6)}
+        # d_{a_1} d_{a_2} ... d_{a_k} top = d_{a_1}(d_{a_2} ... d_{a_k} top),
+        # so each word reuses the chain of its suffix
+        chains = {}
+
+        def chain(n, word):
+            if not word:
+                return tops[n]
+            if (n, word) not in chains:
+                chains[n, word] = divided_difference_chain(
+                    chain(n, word[1:]), word[:1]
+                )
+            return chains[n, word]
+
+        for w in cases:
+            n = w.n
+            word = reduced_word(make_permutation(tuple(reversed(w.images))))
+            expect = chain(n, word)
+            if n == 5:
+                assert expect == divided_difference_chain(tops[n], word)
+            if (n * (n - 1) // 2 - length(w)) % 2:
+                expect = -expect
+            assert route(w) == expect, w.to_text()
+
+
+def test_three_routes_agree_on_an_s7_row():
+    from qbpd.analysis import qbpd_polynomial
+
+    w = make_permutation([5, 2, 6, 4, 3, 7, 1])
+    p = quantum_double_schubert_defining(w)
+    assert len(p) == 44922
+    assert p == quantum_double_schubert_transition(w)
+    assert p == qbpd_polynomial(w)
