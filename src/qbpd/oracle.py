@@ -98,13 +98,13 @@ def _quantum_top(n: int) -> tuple[tuple[frozenset, Poly], ...]:
 
 def _classical_top(n: int) -> tuple[tuple[frozenset, Poly], ...]:
     """The product of (x_i - y_j) over i + j <= n, one block per j."""
-    blocks = []
-    for j in range(1, n):
-        acc = Poly.one(n)
-        for i in range(1, n - j + 1):
-            acc = acc * Poly.x_minus_y(i, j, n)
-        blocks.append((frozenset({j}), acc))
-    return tuple(blocks)
+    return tuple(
+        (
+            frozenset({j}),
+            _product([Poly.x_minus_y(i, j, n) for i in range(1, n - j + 1)], n),
+        )
+        for j in range(1, n)
+    )
 
 
 # Caches for the divided-difference chains, keyed by one-line notation.

@@ -174,7 +174,8 @@ def test_word_independence():
 def expanded_quantum_top(n):
     acc = Poly.one(n)
     for k in range(1, n):
-        acc = acc * quantum_e(k, k, [Poly.x_minus_y(i, n - k, n) for i in range(1, k + 1)])
+        z = [Poly.x_minus_y(i, n - k, n) for i in range(1, k + 1)]
+        acc = acc * quantum_e(k, k, z)
     return acc
 
 
