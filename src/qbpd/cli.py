@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from . import moves
+from .columns import flat_diagrams
 from .diagram import Diagram, diagram_from_text, flat_text, validate
 from .errors import NotABijection, OutOfRange, SizeLimit
 from .perm import Permutation, embed, enumerate_symmetric_group, parse_permutation
@@ -62,7 +62,7 @@ def _write(text: str, out: str | None):
 
 def cmd_enum(args) -> int:
     w = _sized_perm(args, args.perm)
-    ds = moves.flat_diagrams(w, unpaired=args.unpaired)
+    ds = flat_diagrams(w, unpaired=args.unpaired)
     print(len(ds))
     if not args.count:
         _write(flat_text(w.n, ds), args.out)
@@ -218,10 +218,11 @@ def cmd_verify(args) -> int:
                     failures.append(f"k={k}, {w}: nonzero Monk residual")
     elif args.check == "closure":
         from .columns import column_enumerate
+        from .moves import enumerate_qbpds
 
         for w in _verify_perms(n, args.sample, args.seed):
             checked += 1
-            if moves.enumerate_qbpds(w) != column_enumerate(w):
+            if enumerate_qbpds(w) != column_enumerate(w):
                 failures.append(f"{w}: move closure differs from column enumeration")
     else:  # stability
         for w in _verify_perms(n, args.sample, args.seed):
@@ -268,7 +269,7 @@ def cmd_render(args) -> int:
         D = ds[_pick(len(ds), args.index)]
     else:
         w = _sized_perm(args, args.target)
-        pool = moves.flat_diagrams(w, unpaired=args.unpaired)
+        pool = flat_diagrams(w, unpaired=args.unpaired)
         D = Diagram.from_flat(w.n, *pool[_pick(len(pool), args.index)])
     text = render_svg(D) if args.format == "svg" else render_ascii(D)
     _write(text, args.out)

@@ -18,9 +18,10 @@ The relative order of two pipes changes only where they cross, so the last
 rule is exactly "no two pipes cross twice": reducedness is local.  The
 fillings along a path from the east edge to the west edge are the columns
 of one unpaired diagram of w, and every unpaired diagram is one such path.
-The graph never uses droop or lift moves, so :func:`column_enumerate` is an
-oracle for the completeness of the move closure, and the weight sum in
-``analysis`` runs a dynamic program over the same graph.
+:func:`flat_diagrams` walks the paths for ``enum`` and ``render``, and the
+weight sum in ``analysis`` runs a dynamic program over the same graph.  The
+graph never uses droop or lift moves, so :func:`column_enumerate` and the
+move closure in ``moves`` are independent checks of each other.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .diagram import Diagram, TileKind, _pairings
 from .errors import SizeLimit
 from .perm import Permutation
 
-__all__ = ["column_graph", "column_enumerate"]
+__all__ = ["column_graph", "flat_diagrams", "column_enumerate"]
 
 _B = int(TileKind.BLANK)
 _ES = int(TileKind.ES)
@@ -135,24 +136,22 @@ def column_graph(w: Permutation) -> list[dict]:
     return layers
 
 
-def column_enumerate(w: Permutation) -> set[Diagram]:
-    """All diagrams of w from the column-state graph (n <= 7).
+def flat_diagrams(w: Permutation, unpaired: bool = False):
+    """Every diagram of w as a ``(tile bytes, sorted dominoes)`` pair.
 
-    One unpaired diagram per path from the east edge to the west edge,
-    then every domino pairing.  Independent of the move closure, of which
-    it is the completeness oracle.
+    One tiling per path of :func:`column_graph`, each followed by its
+    domino pairings unless ``unpaired``.  The list is in ``canonical_key``
+    order and no :class:`Diagram` is built.
     """
     n = w.n
-    if n > 7:
-        raise SizeLimit("column enumeration is limited to n <= 7")
     layers = column_graph(w)
-    grids = []
+    tilings = []
 
     def walk(depth: int, state, cols):
         if depth == n:
             # ``cols`` runs east to west; join it west to east, column-major
             by_col = b"".join(reversed(cols))
-            grids.append(b"".join(by_col[r::n] for r in range(n)))
+            tilings.append(b"".join(by_col[r::n] for r in range(n)))
             return
         for new, tiles in layers[depth][state]:
             cols.append(tiles)
@@ -160,8 +159,19 @@ def column_enumerate(w: Permutation) -> set[Diagram]:
             cols.pop()
 
     walk(0, tuple(range(n)), [])
-    return {
-        Diagram.from_flat(n, flat, dominoes)
-        for flat in grids
-        for dominoes in _pairings(flat, n)
-    }
+    tilings.sort()
+    if unpaired:
+        return [(tiles, ()) for tiles in tilings]
+    return [(tiles, dominoes) for tiles in tilings for dominoes in _pairings(tiles, n)]
+
+
+def column_enumerate(w: Permutation) -> set[Diagram]:
+    """All diagrams of w from the column-state graph (n <= 7).
+
+    The :class:`Diagram` objects of :func:`flat_diagrams`.  Independent of
+    the move closure, of which it is the completeness oracle.
+    """
+    n = w.n
+    if n > 7:
+        raise SizeLimit("column enumeration is limited to n <= 7")
+    return {Diagram.from_flat(n, tiles, doms) for tiles, doms in flat_diagrams(w)}

@@ -437,7 +437,7 @@ def canonical_key(D: Diagram) -> bytes:
     """Injective byte serialization: size, row-major tiles, sorted dominoes.
 
     Diagrams of one size sort by their tile bytes, then by their sorted
-    domino tuples, the order of ``moves.flat_diagrams``.
+    domino tuples, the order of ``columns.flat_diagrams``.
     """
     return bytes([D.n, *D.flat(), 255, *chain.from_iterable(sorted(D.dominoes))])
 

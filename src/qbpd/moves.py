@@ -11,10 +11,10 @@ Both moves are segment-level rewrites followed by full revalidation; a
 move is rejected when a rewritten cell would not be a legal tile (a second
 segment only ever forms the CROSS) or when the result fails validity or
 reducedness.  Closure from the Rothe diagram under both moves enumerates
-every unpaired diagram of the permutation; dominoes are paired afterwards.
-The closure serves ``enum`` and ``render``; the weight sum in ``analysis``
-does not use it.  Its completeness is checked against the paths of the
-column-state graph (``columns.column_enumerate``), which never uses a move.
+every unpaired diagram of the permutation, the paper's route; dominoes are
+paired afterwards.  No command path runs the closure: ``enum``, ``render``
+and the weight sum read the column-state graph (``columns``), which never
+uses a move.  The two routes check each other (``qbpd verify closure``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "RectMove",
     "apply_droop",
     "apply_lift",
-    "flat_diagrams",
     "enumerate_unpaired",
     "enumerate_qbpds",
 ]
@@ -297,10 +296,8 @@ def _finish_move(D: Diagram, new) -> Diagram:
 # enumeration
 
 
-def _closure(w: Permutation, order: str = "bfs") -> list[bytes]:
+def _closure(w: Permutation) -> list[bytes]:
     """The tile bytes of every diagram of :func:`enumerate_unpaired`."""
-    if order not in ("bfs", "dfs"):
-        raise ValueError(f"unknown order {order!r}")
     n = w.n
     start = rothe_diagram(w).flat()
     target, traces0, violations = _trace(start, n)
@@ -308,9 +305,8 @@ def _closure(w: Permutation, order: str = "bfs") -> list[bytes]:
     frontier = deque([(start, traces0)])
     tilings = [bytes(start)]
     seen = set(tilings)
-    pop = frontier.popleft if order == "bfs" else frontier.pop
     while frontier:
-        flat, traces = pop()
+        flat, traces = frontier.popleft()
         for new in chain(
             _droop_candidates(flat, n, traces), _lift_candidates(flat, n, traces)
         ):
@@ -327,33 +323,16 @@ def _closure(w: Permutation, order: str = "bfs") -> list[bytes]:
     return tilings
 
 
-def flat_diagrams(w: Permutation, unpaired: bool = False, order: str = "bfs"):
-    """Every diagram of w as a ``(tile bytes, sorted dominoes)`` pair.
-
-    The list is in ``canonical_key`` order and no :class:`Diagram` is built.
-    ``unpaired`` keeps the closure's tilings only; ``order`` is its frontier
-    strategy (bfs or dfs) and does not change the list.
-    """
-    n = w.n
-    tilings = sorted(_closure(w, order))
-    if unpaired:
-        return [(tiles, ()) for tiles in tilings]
-    return [(tiles, dominoes) for tiles in tilings for dominoes in _pairings(tiles, n)]
-
-
-def _diagrams(n: int, pairs) -> set[Diagram]:
-    return {Diagram.from_flat(n, tiles, dominoes) for tiles, dominoes in pairs}
-
-
-def enumerate_unpaired(w: Permutation, order: str = "bfs") -> set[Diagram]:
-    """All unpaired diagrams of w: closure of the Rothe diagram under moves.
-
-    ``order`` selects the frontier strategy (bfs or dfs); the resulting set
-    is the same either way.
-    """
-    return _diagrams(w.n, flat_diagrams(w, unpaired=True, order=order))
+def enumerate_unpaired(w: Permutation) -> set[Diagram]:
+    """All unpaired diagrams of w: closure of the Rothe diagram under moves."""
+    return {Diagram.from_flat(w.n, tiles) for tiles in _closure(w)}
 
 
 def enumerate_qbpds(w: Permutation) -> set[Diagram]:
     """All diagrams of w: unpaired closure plus every domino pairing."""
-    return _diagrams(w.n, flat_diagrams(w))
+    n = w.n
+    return {
+        Diagram.from_flat(n, tiles, dominoes)
+        for tiles in _closure(w)
+        for dominoes in _pairings(tiles, n)
+    }

@@ -218,6 +218,14 @@ def test_enum_and_poly_size_guard(capsys):
     assert code == 0 and out == "1\n"
 
 
+def test_enum_forced_s8_count(capsys):
+    # the tiling count the move closure also finds for this permutation
+    code, out, err = run(capsys, "enum", "74218365", "--unpaired", "--count")
+    assert code == 2 and not out and "--force" in err
+    code, out, _ = run(capsys, "enum", "74218365", "--force", "--unpaired", "--count")
+    assert code == 0 and out == "8929\n"
+
+
 def test_verify_sample_below_one_exit_2(capsys):
     for bad in ("-1", "0"):
         code, out, err = run(capsys, "verify", "theorem", "--n", "3", "--sample", bad)

@@ -1,17 +1,26 @@
 """The column-state graph: its paths and the weight sum run over it."""
 
 import hashlib
+import random
 
 from qbpd.analysis import _accumulate, cancellation_stats
-from qbpd.columns import _column_moves, column_enumerate, column_graph
-from qbpd.moves import enumerate_qbpds
-from qbpd.perm import enumerate_symmetric_group, make_permutation
+from qbpd.columns import _column_moves, column_enumerate, column_graph, flat_diagrams
+from qbpd.moves import _closure, enumerate_qbpds
+from qbpd.perm import enumerate_symmetric_group, make_permutation, parse_permutation
 
 
 def test_column_enumerate_equals_closure_s6():
     for n in range(1, 7):
         for w in enumerate_symmetric_group(n):
             assert column_enumerate(w) == enumerate_qbpds(w), w
+
+
+def test_walk_tilings_equal_closure_s7_sample_and_s8():
+    sample = random.Random(7).sample(list(enumerate_symmetric_group(7)), 40)
+    rows = [parse_permutation(t) for t in ("74218365", "18765432", "81765432")]
+    for w in sample + rows:
+        walked = [tiles for tiles, _ in flat_diagrams(w, unpaired=True)]
+        assert walked == sorted(_closure(w)), w
 
 
 def test_accumulate_golden_s6():

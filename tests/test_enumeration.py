@@ -16,7 +16,8 @@ from qbpd.diagram import (
     domino_pairings,
     extract_permutation,
 )
-from qbpd.moves import enumerate_qbpds, enumerate_unpaired, flat_diagrams
+from qbpd.columns import flat_diagrams
+from qbpd.moves import enumerate_qbpds, enumerate_unpaired
 from qbpd.perm import enumerate_symmetric_group, length
 
 SMALL = [w for n in range(1, 6) for w in enumerate_symmetric_group(n)]

@@ -38,7 +38,9 @@ def test_import_cli_loads_no_polynomial_code():
         check=True,
         env=dict(os.environ, PYTHONPATH=src),
     ).stdout.split()
-    assert out == ["qbpd", "qbpd.cli", "qbpd.diagram", "qbpd.errors", "qbpd.moves", "qbpd.perm"]
+    assert out == [
+        "qbpd", "qbpd.cli", "qbpd.columns", "qbpd.diagram", "qbpd.errors", "qbpd.perm"
+    ]
 
 
 def test_every_exported_name_resolves():

@@ -88,15 +88,6 @@ def test_enumerate_qbpds_counts():
     assert len(enumerate_qbpds(make_permutation([4, 1, 3, 2]))) == 9
 
 
-def test_closure_order_independent():
-    for w in enumerate_symmetric_group(4):
-        assert enumerate_unpaired(w, order="bfs") == enumerate_unpaired(
-            w, order="dfs"
-        )
-    with pytest.raises(ValueError):
-        enumerate_unpaired(make_permutation([2, 1]), order="random")
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_moves_preserve_permutation_and_degree(n):
     for w in enumerate_symmetric_group(n):
