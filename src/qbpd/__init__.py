@@ -1,8 +1,10 @@
 """Quantum bumpless pipe dreams and quantum double Schubert polynomials.
 
-Exact enumeration of the diagrams of a permutation by droop/lift move
-closure, their signed binomial weight sum, independent algebraic oracles
-for the same polynomials, and the cancellation statistics of the formula.
+Exact enumeration of the diagrams of a permutation, from the column-state
+graph and, as an independent check, by droop/lift move closure; their
+signed binomial weight sum, a dynamic program over the same graph;
+independent algebraic oracles for the same polynomials; and the
+cancellation statistics of the formula.
 
 The names below are resolved on first use (PEP 562), so importing one
 submodule, as the ``qbpd`` command does, does not load the others.

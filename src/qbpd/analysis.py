@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .diagram import Diagram, TileKind, _valid_trace
+from .diagram import _B, _NE, _SW, _X, S, Diagram, _valid_trace
 from .errors import IdentityPermutation, OutOfRange, SizeLimit
 from .columns import column_graph
 from .oracle import transition_rhs
@@ -43,12 +43,6 @@ __all__ = [
     "is_classical_bpd",
     "verify_transition",
 ]
-
-_X = int(TileKind.CROSS)
-_B = int(TileKind.BLANK)
-_SW = int(TileKind.SW)
-_NE = int(TileKind.NE)
-_S_SIDE = 2
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ def _q_cells(flat, n: int, traces):
     the vertical strand of a CROSS, -q for a vertical tile or a SW corner
     (a SW corner can only be entered from the south).
     """
-    up = [idx for steps in traces for idx, entry, _ in steps if entry == _S_SIDE]
+    up = [idx for steps in traces for idx, entry, _ in steps if entry == S]
     q_cross = [divmod(i, n) for i in up if flat[i] == _X]
     nq = [divmod(i, n) for i in up if flat[i] != _X]
     return q_cross, nq

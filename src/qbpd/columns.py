@@ -26,20 +26,11 @@ move closure in ``moves`` are independent checks of each other.
 
 from __future__ import annotations
 
-from .diagram import Diagram, TileKind, _pairings
+from .diagram import _B, _ES, _EW, _NE, _NS, _SW, _WN, _X, Diagram, _pairings
 from .errors import SizeLimit
 from .perm import Permutation
 
 __all__ = ["column_graph", "flat_diagrams", "column_enumerate"]
-
-_B = int(TileKind.BLANK)
-_ES = int(TileKind.ES)
-_WN = int(TileKind.WN)
-_SW = int(TileKind.SW)
-_NE = int(TileKind.NE)
-_EW = int(TileKind.EW)
-_NS = int(TileKind.NS)
-_X = int(TileKind.CROSS)
 
 _FREE, _DOWN, _UP = 0, 1, 2
 

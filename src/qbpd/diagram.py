@@ -63,6 +63,8 @@ class TileKind(enum.IntEnum):
 TILE_TEXT = ".RJSNHVC"  # BLANK ES WN SW NE EW NS CROSS
 CHAR_TILES = dict(zip(TILE_TEXT, TileKind))
 _KINDS = tuple(TileKind)
+# the tile kinds as plain ints, for the loops over flat grids
+_B, _ES, _WN, _SW, _NE, _EW, _NS, _X = map(int, TileKind)
 _TEXT = bytes.maketrans(bytes(_KINDS), TILE_TEXT.encode())
 
 # sides, as small ints internally and chars at the API boundary
@@ -89,8 +91,6 @@ ROUTE = (
 # the horizontal strand (or the only segment) in the low nibble and along
 # the vertical strand of a CROSS in the high one
 _EXPECTED_USAGE = bytes([0, 1, 1, 1, 1, 1, 1, 0x11]).ljust(256, b"\0")
-
-_X = int(TileKind.CROSS)
 
 
 class PipeStep(NamedTuple):

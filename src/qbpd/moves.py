@@ -3,18 +3,28 @@
 A droop reroutes a pipe's ES corner to the opposite corner of a rectangle:
 the pipe turns south at the rectangle's northeast cell, runs down its east
 column, takes a WN corner at the southeast cell and runs west along the
-bottom row to rejoin its old exit.  A lift raises a horizontal run of a
-pipe into an up-left-down detour: up the rectangle's east column, SW
-corner, west along the top row, ES corner, and back down the west column.
+bottom row to rejoin its old exit.  A lift raises a westward run of a pipe
+along the bottom row, from a horizontal passage or SW corner at the east
+end to a horizontal passage or ES corner at the west end (two adjacent
+corners included), into an up-left-down detour: up the rectangle's east
+column, SW corner, west along the top row, ES corner, and back down the
+west column.
 
 Both moves are segment-level rewrites followed by full revalidation; a
 move is rejected when a rewritten cell would not be a legal tile (a second
 segment only ever forms the CROSS) or when the result fails validity or
-reducedness.  Closure from the Rothe diagram under both moves enumerates
-every unpaired diagram of the permutation, the paper's route; dominoes are
-paired afterwards.  No command path runs the closure: ``enum``, ``render``
-and the weight sum read the column-state graph (``columns``), which never
-uses a move.  The two routes check each other (``qbpd verify closure``).
+reducedness.  ``_droop_candidates`` and ``_lift_candidates`` are the one
+definition of the moves: they yield every rewrite of a grid together with
+its move.  The closure takes the grids, and :func:`apply_droop` and
+:func:`apply_lift` look the requested :class:`RectMove` up among them, so
+a rectangle off the grid, a missing pipe or a move of the other kind is
+rejected because it is never generated.
+
+Closure from the Rothe diagram under both moves enumerates every unpaired
+diagram of the permutation, the paper's route; dominoes are paired
+afterwards.  No command path runs the closure: ``enum``, ``render`` and
+the weight sum read the column-state graph (``columns``), which never uses
+a move.  The two routes check each other (``qbpd verify closure``).
 """
 
 from __future__ import annotations
@@ -23,7 +33,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
-from .diagram import Diagram, TileKind, _pairings, _trace, rothe_diagram
+from .diagram import _B, _ES, _EW, _NE, _NS, _SW, _WN, _X, E, N, S, W
+from .diagram import Diagram, _pairings, _trace, rothe_diagram
 from .errors import MoveRejected
 from .perm import Permutation
 
@@ -34,17 +45,6 @@ __all__ = [
     "enumerate_unpaired",
     "enumerate_qbpds",
 ]
-
-_B = int(TileKind.BLANK)
-_ES = int(TileKind.ES)
-_WN = int(TileKind.WN)
-_SW = int(TileKind.SW)
-_NE = int(TileKind.NE)
-_EW = int(TileKind.EW)
-_NS = int(TileKind.NS)
-_X = int(TileKind.CROSS)
-
-N, E, S, W = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,13 @@ def _lift_rewrite(flat, n, r1, c1, r2, c2, ekind, xkind):
 
 
 def _droop_candidates(flat, n, traces):
-    """Yield rewritten grids for every droop applicable to ``flat``."""
-    for steps in traces:
+    """Yield ``(grid, move)`` for every droop of ``flat``, valid or not.
+
+    ``move`` names the droop as :class:`RectMove` does, as the plain tuple
+    ``(r1, c1, r2, c2, pipe)``: a 1-based rectangle and the pipe's start
+    row.  The grid is the rewrite; the caller checks it by tracing.
+    """
+    for pipe, steps in enumerate(traces, 1):
         for t, (idx, entry, out) in enumerate(steps):
             if not (entry == E and out == S and flat[idx] == _ES):
                 continue
@@ -177,34 +182,30 @@ def _droop_candidates(flat, n, traces):
                 for r2, xkind in south:
                     new = _droop_rewrite(flat, n, r1, c1, r2, c2, ekind, xkind)
                     if new is not None:
-                        yield new
+                        yield new, (r1 + 1, c1 + 1, r2 + 1, c2 + 1, pipe)
 
 
 def _lift_candidates(flat, n, traces):
-    """Yield rewritten grids for every lift applicable to ``flat``."""
-    for steps in traces:
+    """Yield ``(grid, move)`` for every lift of ``flat``, as the droops do."""
+    for pipe, steps in enumerate(traces, 1):
         t = 0
         m = len(steps)
         while t < m:
             idx, entry, out = steps[t]
-            if not (entry == E and out == W):
-                t += 1
+            t += 1
+            if out != W or entry == N:
                 continue
-            start = t
+            # a westward run on row r2, east to west: a SW corner or a
+            # horizontal passage, then horizontal passages.  A SW corner
+            # directly followed by an ES corner is a run too (c1 = c2 - 1).
+            r2 = idx // n
+            east = [(idx % n, _SW if entry == S else _EW)]
             while t < m and steps[t][1] == E and steps[t][2] == W:
+                east.append((steps[t][0] % n, _EW))
                 t += 1
-            # run of horizontal passages, east to west: steps[start:t]
-            r2 = steps[start][0] // n
-            east = [(steps[i][0] % n, _EW) for i in range(start, t)]
-            if start > 0:
-                idx2, e2, o2 = steps[start - 1]
-                if e2 == S and o2 == W:
-                    east.append((idx2 % n, _SW))
-            west = [(steps[i][0] % n, _EW) for i in range(start, t)]
-            if t < m:
-                idx2, e2, o2 = steps[t]
-                if e2 == E and o2 == S:
-                    west.append((idx2 % n, _ES))
+            west = [cell for cell in east if cell[1] == _EW]
+            if t < m and steps[t][1] == E and steps[t][2] == S:
+                west.append((steps[t][0] % n, _ES))
             for c2, ekind in east:
                 for c1, xkind in west:
                     if c1 >= c2:
@@ -214,82 +215,37 @@ def _lift_candidates(flat, n, traces):
                             flat, n, r1, c1, r2, c2, ekind, xkind
                         )
                         if new is not None:
-                            yield new
+                            yield new, (r1 + 1, c1 + 1, r2 + 1, c2 + 1, pipe)
 
 
 # ---------------------------------------------------------------------------
-# public move application
+# public move application: a lookup among the generated moves
 
 
-def _pipe_steps(D: Diagram, pipe: int):
-    _, traces, violations = _trace(D.flat(), D.n)
-    if violations:
-        raise MoveRejected("diagram is not a valid reduced pipe dream")
-    if not 1 <= pipe <= D.n:
-        raise MoveRejected(f"no pipe {pipe}")
-    return {idx: (e, o) for idx, e, o in traces[pipe - 1]}
-
-
-def _check_move(D: Diagram, move: RectMove, kind: str):
+def _apply(D: Diagram, move: RectMove, kind: str, candidates) -> Diagram:
     if D.dominoes:
         raise MoveRejected("moves apply to unpaired diagrams only")
-    if move.kind != kind:
-        raise MoveRejected(f"expected a {kind} move, got {move.kind}")
-    if not (1 <= move.r1 < move.r2 <= D.n and 1 <= move.c1 < move.c2 <= D.n):
-        raise MoveRejected("rectangle does not lie inside the grid")
+    n = D.n
+    flat = D.flat()
+    _, traces, violations = _trace(flat, n)
+    if violations:
+        raise MoveRejected("diagram is not a valid reduced pipe dream")
+    for new, name in candidates(flat, n, traces):
+        if RectMove(kind, *name) == move:
+            if _trace(new, n)[2]:
+                raise MoveRejected("result is not a valid reduced diagram")
+            return Diagram.from_flat(n, new)
+    raise MoveRejected(f"{move} is not a {kind} of this diagram")
 
 
 def apply_droop(D: Diagram, move: RectMove) -> Diagram:
     """Apply a droop; raises :class:`MoveRejected` when it does not apply."""
-    _check_move(D, move, "droop")
-    n = D.n
-    flat = D.flat()
-    on = _pipe_steps(D, move.pipe)
-    r1, c1, r2, c2 = move.r1 - 1, move.c1 - 1, move.r2 - 1, move.c2 - 1
-    if on.get(r1 * n + c1) != (E, S):
-        raise MoveRejected("pipe has no ES corner at the rectangle's northwest")
-    for c in range(c1 + 1, c2):
-        if on.get(r1 * n + c) != (E, W):
-            raise MoveRejected("pipe does not run west along the top row")
-    ekind = {(E, W): _EW, (N, W): _WN}.get(on.get(r1 * n + c2))
-    if ekind is None:
-        raise MoveRejected("entry cell is not an EW or WN tile of the pipe")
-    for r in range(r1 + 1, r2):
-        if on.get(r * n + c1) != (N, S):
-            raise MoveRejected("pipe does not run south along the west column")
-    xkind = {(N, S): _NS, (N, W): _WN}.get(on.get(r2 * n + c1))
-    if xkind is None:
-        raise MoveRejected("exit cell is not an NS or WN tile of the pipe")
-    new = _droop_rewrite(flat, n, r1, c1, r2, c2, ekind, xkind)
-    return _finish_move(D, new)
+    return _apply(D, move, "droop", _droop_candidates)
 
 
 def apply_lift(D: Diagram, move: RectMove) -> Diagram:
     """Apply a lift; raises :class:`MoveRejected` when it does not apply."""
-    _check_move(D, move, "lift")
-    n = D.n
-    flat = D.flat()
-    on = _pipe_steps(D, move.pipe)
-    r1, c1, r2, c2 = move.r1 - 1, move.c1 - 1, move.r2 - 1, move.c2 - 1
-    for c in range(c1 + 1, c2):
-        if on.get(r2 * n + c) != (E, W):
-            raise MoveRejected("pipe does not run west along the bottom row")
-    ekind = {(E, W): _EW, (S, W): _SW}.get(on.get(r2 * n + c2))
-    if ekind is None:
-        raise MoveRejected("east end is not an EW or SW tile of the pipe")
-    xkind = {(E, W): _EW, (E, S): _ES}.get(on.get(r2 * n + c1))
-    if xkind is None:
-        raise MoveRejected("west end is not an EW or ES tile of the pipe")
-    new = _lift_rewrite(flat, n, r1, c1, r2, c2, ekind, xkind)
-    return _finish_move(D, new)
-
-
-def _finish_move(D: Diagram, new) -> Diagram:
-    if new is None:
-        raise MoveRejected("rewrite would superimpose segments illegally")
-    if _trace(new, D.n)[2]:
-        raise MoveRejected("result is not a valid reduced diagram")
-    return Diagram.from_flat(D.n, new)
+    return _apply(D, move, "lift", _lift_candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +263,7 @@ def _closure(w: Permutation) -> list[bytes]:
     seen = set(tilings)
     while frontier:
         flat, traces = frontier.popleft()
-        for new in chain(
+        for new, _ in chain(
             _droop_candidates(flat, n, traces), _lift_candidates(flat, n, traces)
         ):
             key = bytes(new)

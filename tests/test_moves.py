@@ -1,9 +1,15 @@
+import hashlib
+from itertools import combinations, product
+
 import pytest
 
 from qbpd.analysis import bwt, weight_cells
 from qbpd.columns import column_enumerate
 from qbpd.diagram import (
+    _trace,
+    canonical_key,
     diagram_from_text,
+    diagram_to_text,
     extract_permutation,
     rothe_diagram,
     validate,
@@ -11,6 +17,7 @@ from qbpd.diagram import (
 from qbpd.errors import MoveRejected, SizeLimit
 from qbpd.moves import (
     RectMove,
+    _lift_candidates,
     apply_droop,
     apply_lift,
     enumerate_qbpds,
@@ -43,16 +50,42 @@ def test_droop_rejected_on_occupied_corner():
 
 
 def test_droop_requires_matching_route():
-    R = rothe_diagram(make_permutation([1, 2, 3]))
-    with pytest.raises(MoveRejected):
+    R = rothe_diagram(make_permutation([2, 1, 4, 3]))
+    D = apply_droop(R, RectMove("droop", 1, 2, 3, 3, pipe=1))
+    lift = RectMove("lift", 1, 1, 2, 2, pipe=2)
+    apply_lift(D, lift)
+    identity = rothe_diagram(make_permutation([1, 2, 3]))
+    cases = [
         # no blank corners anywhere on the identity
-        apply_droop(R, RectMove("droop", 1, 1, 2, 2, pipe=1))
+        (identity, RectMove("droop", 1, 1, 2, 2, pipe=1)),
+        # a lift that applies is not a droop
+        (D, lift),
+        # the droop above, on pipes that do not exist
+        (R, RectMove("droop", 1, 2, 3, 3, pipe=0)),
+        (R, RectMove("droop", 1, 2, 3, 3, pipe=5)),
+    ]
+    for diagram, move in cases:
+        with pytest.raises(MoveRejected):
+            apply_droop(diagram, move)
 
 
 def test_lift_rejected_degenerate_rectangle():
     R = rothe_diagram(make_permutation([2, 1, 4, 3]))
-    with pytest.raises(MoveRejected):
-        apply_lift(R, RectMove("lift", 2, 1, 2, 3, pipe=2))
+    D = apply_droop(R, RectMove("droop", 1, 2, 3, 3, pipe=1))
+    cases = [
+        (R, apply_lift, RectMove("lift", 2, 1, 2, 3, pipe=2)),
+        # rectangles running past column or row n
+        (D, apply_lift, RectMove("lift", 1, 1, 2, 5, pipe=2)),
+        (D, apply_lift, RectMove("lift", 1, 4, 2, 5, pipe=2)),
+        (R, apply_droop, RectMove("droop", 1, 2, 5, 3, pipe=1)),
+        (R, apply_droop, RectMove("droop", 4, 2, 5, 3, pipe=1)),
+        # the lift of test_apply_lift_reaches_minus_q1 on missing pipes
+        (D, apply_lift, RectMove("lift", 1, 1, 2, 2, pipe=0)),
+        (D, apply_lift, RectMove("lift", 1, 1, 2, 2, pipe=5)),
+    ]
+    for diagram, apply, move in cases:
+        with pytest.raises(MoveRejected):
+            apply(diagram, move)
 
 
 def test_lift_rejected_by_reducedness():
@@ -112,3 +145,37 @@ def test_closure_matches_column_enumerate_spot_s5():
     for images in ([2, 1, 4, 3, 5], [1, 3, 2, 5, 4], [3, 1, 2, 5, 4]):
         w = make_permutation(images)
         assert enumerate_qbpds(w) == column_enumerate(w)
+
+
+def _rows(D):
+    return "/".join(diagram_to_text(D).split()[1:])
+
+
+def test_public_moves_pinned_s4():
+    # every move of both kinds, over every rectangle inside the grid and
+    # every pipe, on every unpaired diagram of S_1..S_4
+    accepted = []
+    for n in range(1, 5):
+        spans = list(combinations(range(1, n + 1), 2))
+        for w in enumerate_symmetric_group(n):
+            for D in sorted(enumerate_unpaired(w), key=canonical_key):
+                for kind, apply in (("droop", apply_droop), ("lift", apply_lift)):
+                    for (r1, r2), (c1, c2) in product(spans, spans):
+                        for pipe in range(1, n + 1):
+                            move = RectMove(kind, r1, c1, r2, c2, pipe)
+                            try:
+                                result = apply(D, move)
+                            except MoveRejected:
+                                continue
+                            accepted.append((_rows(D), move, _rows(result)))
+    assert len(accepted) == 51
+    text = "".join(f"{d} {m} {r}\n" for d, m, r in accepted)
+    assert hashlib.md5(text.encode()).hexdigest() == "ddbde5b91da45af7c1fb755e6837beb5"
+    # two of them are lifts of a SW corner directly followed by an ES corner
+    lift = RectMove("lift", 1, 1, 2, 2, pipe=3)
+    assert ("..RH/RSVR/VNCC/VRCC", lift, "RSRH/VVVR/VNCC/VRCC") in accepted
+    assert ("...R/RSRC/VNCC/VRCC", lift, "RS.R/VVRC/VNCC/VRCC") in accepted
+    D = diagram_from_text("4\n..RH\nRSVR\nVNCC\nVRCC\n")
+    flat = D.flat()
+    lifted = diagram_from_text("4\nRSRH\nVVVR\nVNCC\nVRCC\n").flat()
+    assert (lifted, (1, 1, 2, 2, 3)) in _lift_candidates(flat, 4, _trace(flat, 4)[1])
