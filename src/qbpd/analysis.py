@@ -159,8 +159,8 @@ def _run_terms(c: int, r0: int, r1: int, x, y, q):
     return list(cur.items())
 
 
-def _column_weight(c: int, tiles: bytes, x, y, q, F, G, runs: dict):
-    """(packed terms, G, F) of one column filling over all its pairings.
+def _column_weight(c: int, tiles: bytes, x, y, q, qmask: int, F, G, runs: dict):
+    """({q-part: packed terms}, G, F) of one column filling over all its pairings.
 
     An upward run contributes q of every row it enters from the south:
     -q for its SW corner and vertical tiles, +q for its crossings.  Each
@@ -194,70 +194,115 @@ def _column_weight(c: int, tiles: bytes, x, y, q, F, G, runs: dict):
             key += q[r]
             if t != _X:
                 sign = -sign
-    return [(k + key, v * sign) for k, v in terms], g, f
+    parts: dict = {}
+    for k, v in terms:
+        k += key
+        parts.setdefault(k & qmask, []).append((k, v * sign))
+    return parts, g, f
+
+
+def _mac(acc: dict, poly: dict, terms) -> None:
+    """acc += poly * terms on packed keys, dropping zero coefficients."""
+    get = acc.get
+    items = poly.items()
+    for tk, tv in terms:
+        for k, v in items:
+            t = k + tk
+            s = get(t, 0) + v * tv
+            if s:
+                acc[t] = s
+            else:
+                del acc[t]
+
+
+def _slices(plan: dict):
+    """Each nonempty q-slice of T_w, one at a time, from its product pairs."""
+    while plan:
+        _, pairs = plan.popitem()
+        acc: dict = {}
+        for poly, terms in pairs:
+            _mac(acc, poly, terms)
+        if acc:
+            yield acc
 
 
 def _accumulate(w: Permutation):
-    """(packed term dict of T_w, sum of 2^{|E|}, number of diagrams).
+    """(iterator over the q-slices of T_w, sum of 2^{|E|}, number of diagrams).
 
     A dynamic program over the column-state graph, east to west: each
-    state keeps the summed weights, expanded-term count and diagram count
-    of the partial diagrams reaching it, and a filling multiplies them by
-    its column's weight.  Dominoes pair only vertically adjacent blanks of
-    one column, so one column weight covers all pairings of its filling.
+    state keeps the summed weights of the partial diagrams reaching it,
+    split by q-part, with their expanded-term count and diagram count, and
+    a filling multiplies them by its column's weight.  Dominoes pair only
+    vertically adjacent blanks of one column, so one column weight covers
+    all pairings of its filling.  Terms with different q-parts never
+    cancel, so the west column is combined one target q-part at a time:
+    a slice is a packed term dict whose terms share one q-part, and only
+    one slice is held at a time.
     """
     n = w.n
-    units = [1 << s for s in _layout(n, _packed_width(n))]
+    width = _packed_width(n)
+    units = [1 << s for s in _layout(n, width)]
     x, y, q = units[:n], units[n : 2 * n], units[2 * n :]
+    qmask = (1 << width * (n - 1)) - 1  # the q block is the lowest slots
     F, G = [1, 1], [1, 2]
     while len(F) <= n:
         F.append(F[-1] + F[-2])
         G.append(2 * G[-1] + G[-2])
     runs: dict = {}
-    cur = {tuple(range(n)): [{0: 1}, 1, 1]}
+    cur = {tuple(range(n)): [{0: {0: 1}}, 1, 1]}
+    plan: dict = {}  # target q-part -> [(state part, weight part), ...]
+    total_g = total_f = 0
     for depth, layer in enumerate(column_graph(w)):
         c = n - 1 - depth
+        west = c == 0
         weights: dict = {}
         nxt: dict = {}
         # largest first, each freed once spent: the next boundary grows as
         # this one shrinks
-        for state in sorted(cur, key=lambda s: len(cur[s][0]), reverse=True):
-            poly, g, f = cur.pop(state)
+        size = {s: sum(map(len, cur[s][0].values())) for s in cur}
+        for state in sorted(cur, key=size.__getitem__, reverse=True):
+            parts, g, f = cur.pop(state)
             for new, tiles in layer[state]:
                 weight = weights.get(tiles)
                 if weight is None:
-                    weight = _column_weight(c, tiles, x, y, q, F, G, runs)
+                    weight = _column_weight(c, tiles, x, y, q, qmask, F, G, runs)
                     weights[tiles] = weight
-                terms, tg, tf = weight
+                wparts, tg, tf = weight
+                if west:
+                    for qa, poly in parts.items():
+                        for qb, terms in wparts.items():
+                            plan.setdefault(qa + qb, []).append((poly, terms))
+                    total_g += g * tg
+                    total_f += f * tf
+                    continue
                 entry = nxt.get(new)
                 if entry is None:
                     entry = nxt[new] = [{}, 0, 0]
                 acc = entry[0]
-                get = acc.get
-                for k, v in poly.items():
-                    for tk, tv in terms:
-                        t = k + tk
-                        s = get(t, 0) + v * tv
-                        if s:
-                            acc[t] = s
-                        else:
-                            del acc[t]
+                for qa, poly in parts.items():
+                    for qb, terms in wparts.items():
+                        _mac(acc.setdefault(qa + qb, {}), poly, terms)
                 entry[1] += g * tg
                 entry[2] += f * tf
         cur = nxt
-    return tuple(cur[()])
+    return _slices(plan), total_g, total_f
 
 
 def qbpd_polynomial(w: Permutation) -> Poly:
     """T_w: the sum of binomial weights over all diagrams of w."""
-    acc, _, _ = _accumulate(w)
-    return Poly._from_packed(w.n, acc, _packed_width(w.n))
+    slices, _, _ = _accumulate(w)
+    return Poly._from_packed(w.n, slices, _packed_width(w.n))
+
+
+def _abs_sum(terms: dict) -> int:
+    return sum(map(abs, terms.values()))
 
 
 def cancellation_stats(w: Permutation) -> CancellationStats:
     """Monomial counts of T_w against the diagram expansion, and their gap."""
-    acc, qbpd_monomials, count = _accumulate(w)
-    poly_monomials = sum(map(abs, acc.values()))
+    slices, qbpd_monomials, count = _accumulate(w)
+    # ``map`` keeps no slice between calls, so one slice is alive at a time
+    poly_monomials = sum(map(_abs_sum, slices))
     diff = qbpd_monomials - poly_monomials
     if diff < 0 or diff % 2:
         raise ArithmeticError(

@@ -96,16 +96,21 @@ class Poly:
         return p
 
     @classmethod
-    def _from_packed(cls, n: int, terms: dict, width: int) -> "Poly":
-        """Re-pack keys laid out by ``_layout(n, width)`` into Poly's fields."""
+    def _from_packed(cls, n: int, parts, width: int) -> "Poly":
+        """One Poly from key-disjoint dicts laid out by ``_layout(n, width)``.
+
+        Each dict of ``parts`` is re-packed into Poly's fields in turn, so
+        an iterator of parts is never held whole in the narrow layout.
+        """
         mask = (1 << width) - 1
         pairs = list(zip(_layout(n, width), _layout(n)))
         out = {}
-        for k, c in terms.items():
-            key = 0
-            for src, dst in pairs:
-                key |= (k >> src & mask) << dst
-            out[key] = c
+        for terms in parts:
+            for k, c in terms.items():
+                key = 0
+                for src, dst in pairs:
+                    key |= (k >> src & mask) << dst
+                out[key] = c
         return cls._raw(n, _checked(n, out))
 
     def _flat(self, key: int) -> bytes:

@@ -3,10 +3,12 @@
 import hashlib
 import random
 
-from qbpd.analysis import _accumulate, cancellation_stats
+from qbpd.analysis import _accumulate, _packed_width, cancellation_stats
 from qbpd.columns import _column_moves, column_enumerate, column_graph, flat_diagrams
 from qbpd.moves import _closure, enumerate_qbpds
+from qbpd.oracle import quantum_double_schubert_transition
 from qbpd.perm import enumerate_symmetric_group, make_permutation, parse_permutation
+from qbpd.polyring import Poly
 
 
 def test_column_enumerate_equals_closure_s6():
@@ -27,9 +29,39 @@ def test_accumulate_golden_s6():
     # digest computed with the per-diagram expansion over the move closure
     h = hashlib.md5()
     for w in enumerate_symmetric_group(6):
-        acc, G, F = _accumulate(w)
+        slices, G, F = _accumulate(w)
+        acc = {}
+        for part in slices:
+            acc.update(part)
         h.update(repr((w.images, sorted(acc.items()), G, F)).encode())
     assert h.hexdigest() == "b2a5d8fafbeb34f58a2d00b91bee99f1"
+
+
+def test_accumulate_q_slices_partition_t_w():
+    # terms with different q-parts never cancel, so T_w comes one q-part at
+    # a time: each slice holds one q-part, and the slices tile T_w
+    perms = [w for n in range(1, 6) for w in enumerate_symmetric_group(n)]
+    for w in perms + [parse_permutation("654321")]:
+        n, width = w.n, _packed_width(w.n)
+        slices = list(_accumulate(w)[0])
+        qparts = []
+        for part in slices:
+            monomials = Poly._from_packed(n, [part], width).terms()
+            assert len({m.qexp for m in monomials}) == 1, w
+            qparts.append(next(iter(monomials)).qexp)
+        assert len(set(qparts)) == len(slices), w
+        union = {}
+        for part in slices:
+            union.update(part)
+        assert len(union) == sum(map(len, slices)), w
+        expected = quantum_double_schubert_transition(w)
+        assert Poly._from_packed(n, [union], width) == expected, w
+    for text, count, largest, total in (
+        ("654321", 61, 15944, 113416),
+        ("615432", 49, 11576, 46026),
+    ):
+        sizes = [len(part) for part in _accumulate(parse_permutation(text))[0]]
+        assert (len(sizes), max(sizes), sum(sizes)) == (count, largest, total)
 
 
 def test_cancellation_stats_4721653():
