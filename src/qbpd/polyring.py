@@ -358,7 +358,9 @@ class Poly:
             + [f"y{j}" for j in range(1, n + 1)]
             + [f"q{i}" for i in range(1, n)]
         )
-        pieces = []
+        # one string per term, built in one pass: a large polynomial's text
+        # is its largest allocation
+        out = []
         for key in sorted(self._terms, reverse=True):
             c = self._terms[key]
             factors = []
@@ -373,11 +375,9 @@ class Poly:
                     body = f"{mag}*{body}"
             else:
                 body = str(mag)
-            pieces.append((c < 0, body))
-        neg, body = pieces[0]
-        out = [("-" if neg else "") + body]
-        for neg, body in pieces[1:]:
-            out.append((" - " if neg else " + ") + body)
+            out.append((" - " if c < 0 else " + ") + body)
+        # the first term keeps only its sign
+        out[0] = out[0][3:] if out[0][1] == "+" else "-" + out[0][3:]
         return "".join(out)
 
     def to_json_dict(self) -> dict:
