@@ -20,12 +20,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .diagram import _B, _NE, _SW, _X, S, Diagram, _valid_trace
+from .diagram import _B, _NE, _SW, _X, S, Diagram, _blank_runs, _valid_trace
 from .errors import IdentityPermutation, OutOfRange, SizeLimit
 from .columns import column_graph
 from .oracle import transition_rhs
 from .perm import Permutation, enumerate_symmetric_group, length
-from .polyring import Poly, _layout
+from .polyring import Poly, _mac, _narrow
 
 __all__ = [
     "WeightCells",
@@ -128,18 +128,7 @@ def is_classical_bpd(D: Diagram) -> bool:
 # the generating sum and its statistics
 
 
-def _packed_width(n: int) -> int:
-    """Bits per exponent field of the weight sum's packed keys.
-
-    Keys only multiply within the weight of one diagram or of its columns
-    east of a boundary, whose exponents are at most n (a cell adds at most
-    one x_i or q_i of its row or y_j of its column), so narrow fields never
-    carry; they keep the keys small.
-    """
-    return (n + 1).bit_length()
-
-
-def _run_terms(c: int, r0: int, r1: int, x, y, q):
+def _run_terms(c: int, r0: int, r1: int, layout):
     """Packed terms of the blank run r0..r1 of column c over all pairings.
 
     The continuant R_k = (x_{r_k} - y_c) R_{k-1} + q_{r_{k-1}} R_{k-2}:
@@ -149,17 +138,14 @@ def _run_terms(c: int, r0: int, r1: int, x, y, q):
     prev: dict = {}
     cur = {0: 1}
     for r in range(r0, r1 + 1):
-        nxt: dict = {}
-        for k, v in cur.items():
-            nxt[k + x[r]] = nxt.get(k + x[r], 0) + v
-            nxt[k + y[c]] = nxt.get(k + y[c], 0) - v
-        for k, v in prev.items():
-            nxt[k + q[r - 1]] = nxt.get(k + q[r - 1], 0) + v
+        nxt = _mac({}, cur, ((layout.x[r], 1), (layout.y[c], -1)))
+        if prev:  # a domino needs the cell above it in the run
+            _mac(nxt, prev, ((layout.q[r - 1], 1),))
         prev, cur = cur, nxt
-    return list(cur.items())
+    return cur
 
 
-def _column_weight(c: int, tiles: bytes, x, y, q, qmask: int, F, G, runs: dict):
+def _column_weight(c: int, tiles: bytes, layout, F, G, runs: dict):
     """({q-part: packed terms}, G, F) of one column filling over all its pairings.
 
     An upward run contributes q of every row it enters from the south:
@@ -168,51 +154,30 @@ def _column_weight(c: int, tiles: bytes, x, y, q, qmask: int, F, G, runs: dict):
     and the scalar forms of that recurrence count the run's pairings,
     F_L = F_{L-1} + F_{L-2}, and expanded terms, G_L = 2 G_{L-1} + G_{L-2}.
     """
-    key, sign, f, g = 0, 1, 1, 1
-    terms = [(0, 1)]
-    up = False
-    top = -1  # first row of the current blank run
-    for r, t in enumerate(tiles + b"\xff"):  # the sentinel ends a bottom run
-        if t == _B:
-            if top < 0:
-                top = r
-            continue
-        if top >= 0:
-            run = (c, top, r - 1)
-            factor = runs.get(run)
-            if factor is None:
-                factor = runs[run] = _run_terms(c, top, r - 1, x, y, q)
-            terms = [(k + rk, v * rv) for k, v in terms for rk, rv in factor]
-            f *= F[r - top]
-            g *= G[r - top]
-            top = -1
+    terms, f, g = {0: 1}, 1, 1
+    for _, top, bottom in _blank_runs(tiles, 1):
+        run = (c, top, bottom)
+        factor = runs.get(run)
+        if factor is None:
+            factor = runs[run] = _run_terms(c, top, bottom, layout)
+        terms = _mac({}, factor, terms.items())
+        f *= F[bottom - top + 1]
+        g *= G[bottom - top + 1]
+    key, sign, up = 0, 1, False
+    for r, t in enumerate(tiles):
         if t == _SW:
             up = True
         elif t == _NE:
             up = False
         if up:
-            key += q[r]
+            key += layout.q[r]
             if t != _X:
                 sign = -sign
     parts: dict = {}
-    for k, v in terms:
+    for k, v in terms.items():
         k += key
-        parts.setdefault(k & qmask, []).append((k, v * sign))
+        parts.setdefault(k & layout.qmask, []).append((k, v * sign))
     return parts, g, f
-
-
-def _mac(acc: dict, poly: dict, terms) -> None:
-    """acc += poly * terms on packed keys, dropping zero coefficients."""
-    get = acc.get
-    items = poly.items()
-    for tk, tv in terms:
-        for k, v in items:
-            t = k + tk
-            s = get(t, 0) + v * tv
-            if s:
-                acc[t] = s
-            else:
-                del acc[t]
 
 
 def _slices(plan: dict):
@@ -240,10 +205,7 @@ def _accumulate(w: Permutation):
     one slice is held at a time.
     """
     n = w.n
-    width = _packed_width(n)
-    units = [1 << s for s in _layout(n, width)]
-    x, y, q = units[:n], units[n : 2 * n], units[2 * n :]
-    qmask = (1 << width * (n - 1)) - 1  # the q block is the lowest slots
+    layout = _narrow(n)
     F, G = [1, 1], [1, 2]
     while len(F) <= n:
         F.append(F[-1] + F[-2])
@@ -265,7 +227,7 @@ def _accumulate(w: Permutation):
             for new, tiles in layer[state]:
                 weight = weights.get(tiles)
                 if weight is None:
-                    weight = _column_weight(c, tiles, x, y, q, qmask, F, G, runs)
+                    weight = _column_weight(c, tiles, layout, F, G, runs)
                     weights[tiles] = weight
                 wparts, tg, tf = weight
                 if west:
@@ -275,9 +237,7 @@ def _accumulate(w: Permutation):
                     total_g += g * tg
                     total_f += f * tf
                     continue
-                entry = nxt.get(new)
-                if entry is None:
-                    entry = nxt[new] = [{}, 0, 0]
+                entry = nxt.setdefault(new, [{}, 0, 0])
                 acc = entry[0]
                 for qa, poly in parts.items():
                     for qb, terms in wparts.items():
@@ -291,7 +251,7 @@ def _accumulate(w: Permutation):
 def qbpd_polynomial(w: Permutation) -> Poly:
     """T_w: the sum of binomial weights over all diagrams of w."""
     slices, _, _ = _accumulate(w)
-    return Poly._from_packed(w.n, slices, _packed_width(w.n))
+    return Poly._from_packed(w.n, slices)
 
 
 def _abs_sum(terms: dict) -> int:

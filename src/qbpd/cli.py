@@ -5,6 +5,7 @@ the three routes), ``stats`` (cancellation statistics and sweeps),
 ``verify`` (invariant suites) and ``render`` (ASCII/SVG drawings).
 
 Exit codes: 0 success, 1 a verification failed, 2 usage or parse error.
+A reader that closes stdout early ends the command quietly with 0.
 Verbs import what they use when they run, so ``enum`` loads no ``Poly`` code.
 """
 
@@ -258,6 +259,9 @@ def cmd_render(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return USAGE_ERROR
+        if not ds:
+            print(f"error: {args.target} holds no diagram", file=sys.stderr)
+            return USAGE_ERROR
         problems = [
             f"diagram {k}: {problem}"
             for k, D in enumerate(ds, 1)
@@ -339,10 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (OutOfRange, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader has all it wants; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

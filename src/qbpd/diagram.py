@@ -355,14 +355,17 @@ def rothe_diagram(w: Permutation) -> Diagram:
 
 
 def _blank_runs(flat, n: int) -> list[tuple[int, int, int]]:
-    """Maximal vertical runs of blank cells as 0-based (column, top, bottom)."""
+    """Maximal vertical runs of blank cells as 0-based (column, top, bottom).
+
+    ``flat`` holds ``n`` columns row by row; with ``n = 1`` it is one column.
+    """
     flat = bytes(flat)  # blank tiles are zero bytes
     runs = []
     for c in range(n):
         col = flat[c::n]
         top = col.find(0)
         while top >= 0:
-            end = n - len(col[top:].lstrip(b"\0"))  # the row below the run
+            end = len(col) - len(col[top:].lstrip(b"\0"))  # the row below the run
             runs.append((c, top, end - 1))
             top = col.find(0, end)
     return runs

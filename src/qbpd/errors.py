@@ -17,10 +17,6 @@ class AmbientMismatch(ValueError):
     """Two polynomials with different ambient sizes were combined."""
 
 
-class InexactDivision(ArithmeticError):
-    """A division that must be exact left a remainder (internal bug)."""
-
-
 class SizeMismatch(ValueError):
     """A sequence argument has the wrong length."""
 

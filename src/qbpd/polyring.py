@@ -30,11 +30,59 @@ _WIDTH = 8
 _MAX_EXP = 127
 
 
+class _Layout(NamedTuple):
+    """Where the 3n-1 exponent fields of a packed key sit."""
+
+    shifts: tuple[int, ...]  # bit shift of each slot, slot 0 the highest
+    field: int  # mask of one field, unshifted
+    x: tuple[int, ...]  # the key of each variable alone
+    y: tuple[int, ...]
+    q: tuple[int, ...]
+    ymask: int  # the y block's fields, in place
+    qmask: int  # the q block's fields, the lowest slots
+
+
 @lru_cache(maxsize=None)
-def _layout(n: int, width: int = _WIDTH) -> tuple[int, ...]:
-    """Bit shift of each of the 3n-1 exponent slots, slot 0 the highest."""
+def _layout(n: int, width: int = _WIDTH) -> _Layout:
+    """The layout of keys with ``width``-bit fields."""
     top = 3 * n - 2
-    return tuple((top - s) * width for s in range(top + 1))
+    shifts = tuple((top - s) * width for s in range(top + 1))
+    units = tuple(1 << s for s in shifts)
+    qmask = (1 << (n - 1) * width) - 1
+    ymask = ((1 << n * width) - 1) << (n - 1) * width
+    x, y, q = units[:n], units[n : 2 * n], units[2 * n :]
+    return _Layout(shifts, (1 << width) - 1, x, y, q, ymask, qmask)
+
+
+def _narrow(n: int) -> _Layout:
+    """The layout of the weight sum's keys: fields just wide enough for n.
+
+    Those keys only multiply within the weight of one diagram or of its
+    columns east of a boundary, whose exponents are at most n (a cell adds
+    at most one x_i or q_i of its row or y_j of its column), so narrow
+    fields never carry; they keep the keys small.
+    """
+    return _layout(n, (n + 1).bit_length())
+
+
+def _mac(acc: dict, poly: dict, terms) -> dict:
+    """acc += poly * terms on packed keys; returns acc.
+
+    ``terms`` is an iterable of (key, coefficient) pairs; it is the outer
+    loop, so it should be the shorter factor.  A zero sum is deleted as
+    soon as it appears, so ``acc`` never holds a zero coefficient.
+    """
+    get = acc.get
+    items = poly.items()
+    for tk, tv in terms:
+        for k, v in items:
+            t = k + tk
+            s = get(t, 0) + v * tv
+            if s:
+                acc[t] = s
+            else:
+                del acc[t]
+    return acc
 
 
 def _checked(n: int, terms: dict) -> dict:
@@ -96,14 +144,15 @@ class Poly:
         return p
 
     @classmethod
-    def _from_packed(cls, n: int, parts, width: int) -> "Poly":
-        """One Poly from key-disjoint dicts laid out by ``_layout(n, width)``.
+    def _from_packed(cls, n: int, parts) -> "Poly":
+        """One Poly from key-disjoint dicts laid out by ``_narrow(n)``.
 
         Each dict of ``parts`` is re-packed into Poly's fields in turn, so
         an iterator of parts is never held whole in the narrow layout.
         """
-        mask = (1 << width) - 1
-        pairs = list(zip(_layout(n, width), _layout(n)))
+        narrow = _narrow(n)
+        mask = narrow.field
+        pairs = list(zip(narrow.shifts, _layout(n).shifts))
         out = {}
         for terms in parts:
             for k, c in terms.items():
@@ -134,26 +183,22 @@ class Poly:
         return cls.const(1, n)
 
     @classmethod
-    def _variable(cls, slot: int, n: int) -> "Poly":
-        return cls._raw(n, {1 << _layout(n)[slot]: 1})
-
-    @classmethod
     def x(cls, i: int, n: int) -> "Poly":
         if not 1 <= i <= n:
             raise OutOfRange(f"x index {i} not in 1..{n}")
-        return cls._variable(i - 1, n)
+        return cls._raw(n, {_layout(n).x[i - 1]: 1})
 
     @classmethod
     def y(cls, j: int, n: int) -> "Poly":
         if not 1 <= j <= n:
             raise OutOfRange(f"y index {j} not in 1..{n}")
-        return cls._variable(n + j - 1, n)
+        return cls._raw(n, {_layout(n).y[j - 1]: 1})
 
     @classmethod
     def q(cls, i: int, n: int) -> "Poly":
         if not 1 <= i <= n - 1:
             raise OutOfRange(f"q index {i} not in 1..{n - 1}")
-        return cls._variable(2 * n + i - 1, n)
+        return cls._raw(n, {_layout(n).q[i - 1]: 1})
 
     @classmethod
     def x_minus_y(cls, i: int, j: int, n: int) -> "Poly":
@@ -174,14 +219,7 @@ class Poly:
         if isinstance(other, int):
             other = Poly.const(other, self.n)
         self._check_ambient(other)
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
-        return Poly._raw(self.n, terms)
+        return Poly._raw(self.n, _mac(dict(self._terms), other._terms, ((0, 1),)))
 
     __radd__ = __add__
 
@@ -205,14 +243,7 @@ class Poly:
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
-        terms: dict = {}
-        get = terms.get
-        for kb, cb in b.items():
-            for ka, ca in a.items():
-                key = ka + kb
-                terms[key] = get(key, 0) + ca * cb
-        terms = {k: c for k, c in terms.items() if c}
-        return Poly._raw(self.n, _checked(self.n, terms))
+        return Poly._raw(self.n, _checked(self.n, _mac({}, a, b.items())))
 
     __rmul__ = __mul__
 
@@ -268,13 +299,12 @@ class Poly:
             return self
         # each block moves whole, its last slot to that slot's field in the
         # larger ring; the new slots of each block stay zero
-        w = _WIDTH
-        ymask = (1 << (n * w)) - 1
-        qmask = (1 << ((n - 1) * w)) - 1
-        xs, ys = (2 * n - 1) * w, (n - 1) * w
-        xd, yd, qd = (3 * N - 1 - n) * w, (2 * N - 1 - n) * w, (N - n) * w
+        src, dst = _layout(n), _layout(N)
+        ymask, qmask = src.ymask, src.qmask
+        xs, ys = src.shifts[n - 1], src.shifts[2 * n - 1]
+        xd, yd, qd = (dst.shifts[s] for s in (n - 1, N + n - 1, 2 * N + n - 2))
         terms = {
-            (k >> xs) << xd | (k >> ys & ymask) << yd | (k & qmask) << qd: c
+            (k >> xs) << xd | (k & ymask) >> ys << yd | (k & qmask) << qd: c
             for k, c in self._terms.items()
         }
         return Poly._raw(N, terms)
@@ -285,29 +315,25 @@ class Poly:
         """Set the selected variable families to 0."""
         if not (zero_y or zero_q):
             return self
-        n = self.n
-        mask = 0
-        if zero_y:
-            mask |= ((1 << (n * _WIDTH)) - 1) << ((n - 1) * _WIDTH)
-        if zero_q:
-            mask |= (1 << ((n - 1) * _WIDTH)) - 1
-        return Poly._raw(n, {k: c for k, c in self._terms.items() if not k & mask})
+        layout = _layout(self.n)
+        mask = (layout.ymask if zero_y else 0) | (layout.qmask if zero_q else 0)
+        return Poly._raw(self.n, {k: c for k, c in self._terms.items() if not k & mask})
 
-    def _y_pair(self, i: int, what: str) -> tuple[int, int]:
-        """Shifts of the y_i and y_{i+1} fields."""
+    def _y_pair(self, i: int, what: str) -> tuple[int, int, int]:
+        """Shifts of the y_i and y_{i+1} fields, and the field mask."""
         n = self.n
         if not 1 <= i <= n - 1:
             raise OutOfRange(f"{what} index {i} not in 1..{n - 1}")
-        shifts = _layout(n)
-        return shifts[n + i - 1], shifts[n + i]
+        layout = _layout(n)
+        return layout.shifts[n + i - 1], layout.shifts[n + i], layout.field
 
     def swap_y(self, i: int) -> "Poly":
         """The action of s_i on the y variables: exchange y_i and y_{i+1}."""
-        sa, sb = self._y_pair(i, "swap")
+        sa, sb, field = self._y_pair(i, "swap")
         step = (1 << sa) - (1 << sb)
         terms = {}
         for k, c in self._terms.items():
-            terms[k + ((k >> sb & 0xFF) - (k >> sa & 0xFF)) * step] = c
+            terms[k + ((k >> sb & field) - (k >> sa & field)) * step] = c
         return Poly._raw(self.n, terms)
 
     def divided_difference_y(self, i: int) -> "Poly":
@@ -320,13 +346,13 @@ class Poly:
         with opposite signs, cancel, so the division is exact by
         construction.
         """
-        sa, sb = self._y_pair(i, "divided difference")
+        sa, sb, field = self._y_pair(i, "divided difference")
         ua, ub = 1 << sa, 1 << sb
         step = ua - ub
         quot: dict = {}
         qget = quot.get
         for key, c in self._terms.items():
-            a, b = key >> sa & 0xFF, key >> sb & 0xFF
+            a, b = key >> sa & field, key >> sb & field
             if a == b:
                 continue
             base = key - a * ua - b * ub

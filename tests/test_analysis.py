@@ -4,7 +4,6 @@ import json
 import pytest
 
 from qbpd.analysis import (
-    _packed_width,
     bwt,
     cancellation_stats,
     is_cancellation_free,
@@ -25,7 +24,7 @@ from qbpd.oracle import (
     quantum_double_schubert_transition,
 )
 from qbpd.perm import embed, enumerate_symmetric_group, make_permutation
-from qbpd.polyring import Poly, _layout
+from qbpd.polyring import Poly, _narrow
 
 from conftest import cycle_down, cycle_up
 
@@ -176,7 +175,7 @@ def test_weight_sum_matches_per_diagram_weights_s5():
 def test_packed_field_width_bound_w0_s4():
     # every exponent of one diagram's weight is at most n, which fits a field
     n = 4
-    shifts = _layout(n, _packed_width(n))
+    shifts = _narrow(n).shifts
     assert shifts[-1] == 0
     limit = (1 << shifts[-2]) - 1
     exponents = [

@@ -278,6 +278,45 @@ def test_render_bad_file_exit_2(tmp_path, capsys, content, message):
     assert code == 2 and not out and message in err
 
 
+@pytest.mark.parametrize("content", ["", "\n\n  \n"], ids=["empty", "blank-lines"])
+def test_render_file_without_diagram_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "none.txt"
+    path.write_text(content)
+    code, out, err = run(capsys, "render", str(path))
+    assert code == 2 and not out
+    assert err == f"error: {path} holds no diagram\n"
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [(["enum", "7654321"], 1), (["stats", "--perm", "654321"], 0)],
+    ids=["enum-after-one-line", "stats-before-any"],
+)
+def test_closed_stdout_ends_quietly(argv, lines):
+    # enum 7654321 writes 246 kB, more than a pipe holds, so the write
+    # after the reader leaves fails rather than filling the pipe
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qbpd
+
+    src = str(Path(qbpd.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qbpd", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b""
+
+
 def test_out_to_missing_directory_exit_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     code, out, err = run(capsys, "enum", "123", "--out", str(target))

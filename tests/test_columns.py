@@ -3,7 +3,7 @@
 import hashlib
 import random
 
-from qbpd.analysis import _accumulate, _packed_width, cancellation_stats
+from qbpd.analysis import _accumulate, cancellation_stats
 from qbpd.columns import _column_moves, column_enumerate, column_graph, flat_diagrams
 from qbpd.moves import _closure, enumerate_qbpds
 from qbpd.oracle import quantum_double_schubert_transition
@@ -42,11 +42,11 @@ def test_accumulate_q_slices_partition_t_w():
     # a time: each slice holds one q-part, and the slices tile T_w
     perms = [w for n in range(1, 6) for w in enumerate_symmetric_group(n)]
     for w in perms + [parse_permutation("654321")]:
-        n, width = w.n, _packed_width(w.n)
+        n = w.n
         slices = list(_accumulate(w)[0])
         qparts = []
         for part in slices:
-            monomials = Poly._from_packed(n, [part], width).terms()
+            monomials = Poly._from_packed(n, [part]).terms()
             assert len({m.qexp for m in monomials}) == 1, w
             qparts.append(next(iter(monomials)).qexp)
         assert len(set(qparts)) == len(slices), w
@@ -55,7 +55,7 @@ def test_accumulate_q_slices_partition_t_w():
             union.update(part)
         assert len(union) == sum(map(len, slices)), w
         expected = quantum_double_schubert_transition(w)
-        assert Poly._from_packed(n, [union], width) == expected, w
+        assert Poly._from_packed(n, [union]) == expected, w
     for text, count, largest, total in (
         ("654321", 61, 15944, 113416),
         ("615432", 49, 11576, 46026),

@@ -89,3 +89,7 @@ def test_blank_runs_reach_the_grid_edges():
         (2, 0, 0),
         (2, 2, 2),
     ]
+    # one column of any length, as the weight sum passes a column filling
+    assert _blank_runs(bytes([0, 0, 5, 0]), 1) == [(0, 0, 1), (0, 3, 3)]
+    assert _blank_runs(bytes([5, 0, 0]), 1) == [(0, 1, 2)]
+    assert _blank_runs(bytes([5, 3]), 1) == []
