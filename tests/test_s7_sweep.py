@@ -1,6 +1,6 @@
 """The full S_7 cancellation sweep, a result beyond the paper's tables.
 
-About three minutes on two cores, so it runs only when ``QBPD_SLOW=1``
+About two minutes on two cores, so it runs only when ``QBPD_SLOW=1``
 is set in the environment.
 """
 
