@@ -18,7 +18,8 @@ the sum runs as a dynamic program over the column-state graph of
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .diagram import _B, _NE, _SW, _X, S, Diagram, _blank_runs, _valid_trace
 from .errors import IdentityPermutation, OutOfRange, SizeLimit
@@ -45,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightCells:
+class WeightCells(NamedTuple):
     """Cells contributing factors: E binomials, Q get q_i, NQ get -q_i."""
 
     E: frozenset[tuple[int, int]]
@@ -54,8 +54,7 @@ class WeightCells:
     NQ: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class CancellationStats:
+class CancellationStats(NamedTuple):
     perm: Permutation
     poly_monomials: int
     qbpd_monomials: int
@@ -63,8 +62,7 @@ class CancellationStats:
     qbpd_count: int
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     n: int
     total: int
     average: float
@@ -128,41 +126,46 @@ def is_classical_bpd(D: Diagram) -> bool:
 # the generating sum and its statistics
 
 
-def _run_terms(c: int, r0: int, r1: int, layout):
-    """Packed terms of the blank run r0..r1 of column c over all pairings.
+@lru_cache(maxsize=None)
+def _run_terms(n: int, c: int, r0: int, r1: int):
+    """(packed terms, G, F) of the blank run r0..r1 of column c over all pairings.
 
     The continuant R_k = (x_{r_k} - y_c) R_{k-1} + q_{r_{k-1}} R_{k-2}:
     the run's last cell is either a lone binomial or the lower half of a
-    domino weighted by q of its upper row.
+    domino weighted by q of its upper row.  Its scalar forms count the
+    run's expanded terms, G_k = 2 G_{k-1} + G_{k-2}, and pairings,
+    F_k = F_{k-1} + F_{k-2}.
     """
+    layout = _narrow(n)
     prev: dict = {}
     cur = {0: 1}
+    g0, g, f0, f = 0, 1, 0, 1
     for r in range(r0, r1 + 1):
         nxt = _mac({}, cur, ((layout.x[r], 1), (layout.y[c], -1)))
         if prev:  # a domino needs the cell above it in the run
             _mac(nxt, prev, ((layout.q[r - 1], 1),))
         prev, cur = cur, nxt
-    return cur
+        g0, g, f0, f = g, 2 * g + g0, f, f + f0
+    return cur, g, f
 
 
-def _column_weight(c: int, tiles: bytes, layout, F, G, runs: dict):
+@lru_cache(maxsize=None)
+def _column_weight(n: int, c: int, tiles: bytes):
     """({q-part: packed terms}, G, F) of one column filling over all its pairings.
 
     An upward run contributes q of every row it enters from the south:
     -q for its SW corner and vertical tiles, +q for its crossings.  Each
-    maximal blank run contributes its continuant (cached in ``runs``),
-    and the scalar forms of that recurrence count the run's pairings,
-    F_L = F_{L-1} + F_{L-2}, and expanded terms, G_L = 2 G_{L-1} + G_{L-2}.
+    maximal blank run contributes its continuant, G its expanded terms and
+    F its pairings.  A weight depends on n, c and the filling alone, so
+    both caches serve every w of the process; callers only read the parts.
     """
+    layout = _narrow(n)
     terms, f, g = {0: 1}, 1, 1
     for _, top, bottom in _blank_runs(tiles, 1):
-        run = (c, top, bottom)
-        factor = runs.get(run)
-        if factor is None:
-            factor = runs[run] = _run_terms(c, top, bottom, layout)
+        factor, rg, rf = _run_terms(n, c, top, bottom)
         terms = _mac({}, factor, terms.items())
-        f *= F[bottom - top + 1]
-        g *= G[bottom - top + 1]
+        f *= rf
+        g *= rg
     key, sign, up = 0, 1, False
     for r, t in enumerate(tiles):
         if t == _SW:
@@ -205,19 +208,12 @@ def _accumulate(w: Permutation):
     one slice is held at a time.
     """
     n = w.n
-    layout = _narrow(n)
-    F, G = [1, 1], [1, 2]
-    while len(F) <= n:
-        F.append(F[-1] + F[-2])
-        G.append(2 * G[-1] + G[-2])
-    runs: dict = {}
     cur = {tuple(range(n)): [{0: {0: 1}}, 1, 1]}
     plan: dict = {}  # target q-part -> [(state part, weight part), ...]
     total_g = total_f = 0
     for depth, layer in enumerate(column_graph(w)):
         c = n - 1 - depth
         west = c == 0
-        weights: dict = {}
         nxt: dict = {}
         # largest first, each freed once spent: the next boundary grows as
         # this one shrinks
@@ -225,11 +221,7 @@ def _accumulate(w: Permutation):
         for state in sorted(cur, key=size.__getitem__, reverse=True):
             parts, g, f = cur.pop(state)
             for new, tiles in layer[state]:
-                weight = weights.get(tiles)
-                if weight is None:
-                    weight = _column_weight(c, tiles, layout, F, G, runs)
-                    weights[tiles] = weight
-                wparts, tg, tf = weight
+                wparts, tg, tf = _column_weight(n, c, tiles)
                 if west:
                     for qa, poly in parts.items():
                         for qb, terms in wparts.items():

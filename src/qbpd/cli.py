@@ -74,19 +74,18 @@ def cmd_poly(args) -> int:
     from . import analysis, oracle
 
     w = _sized_perm(args, args.perm)
+    families = {s.strip() for s in (args.specialize or "").split(",") if s.strip()}
+    bad = families - {"y", "q"}
+    if bad:
+        print(f"error: unknown specialization {sorted(bad)}", file=sys.stderr)
+        return USAGE_ERROR
     if args.mode == "qbpd":
         p = analysis.qbpd_polynomial(w)
     elif args.mode == "oracle":
         p = oracle.quantum_double_schubert_defining(w)
     else:
         p = oracle.quantum_double_schubert_transition(w)
-    if args.specialize:
-        families = {s.strip() for s in args.specialize.split(",") if s.strip()}
-        bad = families - {"y", "q"}
-        if bad:
-            print(f"error: unknown specialization {sorted(bad)}", file=sys.stderr)
-            return USAGE_ERROR
-        p = p.specialize(zero_y="y" in families, zero_q="q" in families)
+    p = p.specialize(zero_y="y" in families, zero_q="q" in families)
     if args.format == "json":
         import json
 

@@ -18,8 +18,8 @@ violation and goes on, and audits segment use and crossings;
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     NotRestrictable,
     TracingStuck,
 )
-from .perm import Permutation, make_permutation
+from .perm import Permutation, _Record, make_permutation
 
 __all__ = [
     "TileKind",
@@ -99,8 +99,7 @@ class PipeStep(NamedTuple):
     exit: str
 
 
-@dataclass(frozen=True)
-class PipeTrace:
+class PipeTrace(NamedTuple):
     """The path of one pipe, from its east-edge entry to its south-edge exit."""
 
     start_row: int
@@ -108,17 +107,20 @@ class PipeTrace:
     end_col: int
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(_Record):
     """An n x n tile grid plus a set of dominoes.
 
     A domino is recorded by its upper cell (r, c), 1-based, and covers the
     vertically adjacent blank cells (r, c) and (r+1, c).
     """
 
-    n: int
-    tiles: tuple[tuple[TileKind, ...], ...]
-    dominoes: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    __slots__ = ("n", "tiles", "dominoes")
+    _values = attrgetter(*__slots__)
+
+    def __init__(self, n: int, tiles: tuple, dominoes: frozenset = frozenset()):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "tiles", tiles)
+        object.__setattr__(self, "dominoes", dominoes)
 
     def tile_at(self, r: int, c: int) -> TileKind:
         return self.tiles[r - 1][c - 1]

@@ -30,8 +30,8 @@ a move.  The two routes check each other (``qbpd verify closure``).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .diagram import _B, _ES, _EW, _NE, _NS, _SW, _WN, _X, E, N, S, W
 from .diagram import Diagram, _pairings, _trace, rothe_diagram
@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RectMove:
+class RectMove(NamedTuple):
     """A droop or lift over the rectangle [r1..r2] x [c1..c2], 1-based.
 
     ``pipe`` is the start row of the pipe being rerouted.

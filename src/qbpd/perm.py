@@ -11,8 +11,8 @@ reflection of full length) and the transition setup data
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import IdentityPermutation, NotABijection, OutOfRange
 
@@ -32,20 +32,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Record:
+    """Fields named by ``__slots__`` that only the constructor sets.
+
+    ``_values``, an ``attrgetter`` of the fields, gives what records of one
+    class compare and hash by; they show as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Permutation(_Record):
     """A bijection of {1..n}, stored as the tuple (w(1), ..., w(n))."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
+    _values = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+    def __init__(self, images: tuple[int, ...]):
+        images = tuple(images)
         n = len(images)
         if n < 1:
             raise NotABijection("empty one-line notation")
         if sorted(images) != list(range(1, n + 1)):
             raise NotABijection(f"{images} is not a bijection of 1..{n}")
+        object.__setattr__(self, "images", images)
 
     @property
     def n(self) -> int:
@@ -161,8 +191,7 @@ def is_quantum_lower(sigma: Permutation, c: int, d: int) -> bool:
     return all(vc > images[k - 1] > vd for k in range(c + 1, d))
 
 
-@dataclass(frozen=True)
-class TransitionData:
+class TransitionData(NamedTuple):
     """The data (n, a, b, m, sigma, S, p) attached to a non-identity w.
 
     ``n`` is the largest non-fixed point, ``a`` the position carrying the

@@ -38,6 +38,7 @@ class _Layout(NamedTuple):
     x: tuple[int, ...]  # the key of each variable alone
     y: tuple[int, ...]
     q: tuple[int, ...]
+    xmask: int  # the x block's fields, in place
     ymask: int  # the y block's fields, in place
     qmask: int  # the q block's fields, the lowest slots
 
@@ -50,8 +51,9 @@ def _layout(n: int, width: int = _WIDTH) -> _Layout:
     units = tuple(1 << s for s in shifts)
     qmask = (1 << (n - 1) * width) - 1
     ymask = ((1 << n * width) - 1) << (n - 1) * width
+    xmask = ((1 << n * width) - 1) << (2 * n - 1) * width
     x, y, q = units[:n], units[n : 2 * n], units[2 * n :]
-    return _Layout(shifts, (1 << width) - 1, x, y, q, ymask, qmask)
+    return _Layout(shifts, (1 << width) - 1, x, y, q, xmask, ymask, qmask)
 
 
 def _narrow(n: int) -> _Layout:
@@ -63,6 +65,19 @@ def _narrow(n: int) -> _Layout:
     fields never carry; they keep the keys small.
     """
     return _layout(n, (n + 1).bit_length())
+
+
+class _Memo(dict):
+    """A dict that fills each missing key ``k`` with ``fn(k)``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _mac(acc: dict, poly: dict, terms) -> dict:
@@ -149,17 +164,25 @@ class Poly:
 
         Each dict of ``parts`` is re-packed into Poly's fields in turn, so
         an iterator of parts is never held whole in the narrow layout.
+        Keys share few x, y and q blocks, whose bits are disjoint: one memo
+        widens each block value once, and a key is the OR of its blocks.
         """
         narrow = _narrow(n)
-        mask = narrow.field
+        xmask, ymask, qmask = narrow.xmask, narrow.ymask, narrow.qmask
         pairs = list(zip(narrow.shifts, _layout(n).shifts))
-        out = {}
-        for terms in parts:
-            for k, c in terms.items():
-                key = 0
-                for src, dst in pairs:
-                    key |= (k >> src & mask) << dst
-                out[key] = c
+
+        def widen(block: int) -> int:
+            key = 0
+            for src, dst in pairs:
+                key |= (block >> src & narrow.field) << dst
+            return key
+
+        wide = _Memo(widen)
+        out = {
+            wide[k & xmask] | wide[k & ymask] | wide[k & qmask]: c
+            for terms in parts
+            for k, c in terms.items()
+        }
         return cls._raw(n, _checked(n, out))
 
     def _flat(self, key: int) -> bytes:
@@ -376,32 +399,36 @@ class Poly:
         >>> (Poly.q(1, 3) * Poly.q(2, 3) - Poly.q(1, 3) * Poly.q(1, 3)).canonical_text()
         '-q1^2 + q1*q2'
         """
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
         n = self.n
-        names = (
-            [f"x{i}" for i in range(1, n + 1)]
-            + [f"y{j}" for j in range(1, n + 1)]
-            + [f"q{i}" for i in range(1, n)]
-        )
-        # one string per term, built in one pass: a large polynomial's text
-        # is its largest allocation
-        out = []
-        for key in sorted(self._terms, reverse=True):
-            c = self._terms[key]
-            factors = []
-            for name, e in zip(names, self._flat(key)):
-                if not e:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
+        blocks = (("x", n), ("y", n), ("q", n - 1))
+        names = [f"{v}{i}" for v, size in blocks for i in range(1, size + 1)]
+
+        def factors(block: int) -> str:
+            # the factors of one block, each followed by "*"
+            return "".join(
+                f"{name}*" if e == 1 else f"{name}^{e}*"
+                for name, e in zip(names, self._flat(block))
+                if e
+            )
+
+        def head(c: int) -> str:
             mag = abs(c)
-            if factors:
-                body = "*".join(factors)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            else:
-                body = str(mag)
-            out.append((" - " if c < 0 else " + ") + body)
+            return (" - " if c < 0 else " + ") + (f"{mag}*" if mag != 1 else "")
+
+        # the text of each block and coefficient is made once, and one string
+        # per term in one pass: a large polynomial's text is its largest allocation
+        text, coeff = _Memo(factors), _Memo(head)
+        layout = _layout(n)
+        xmask, ymask, qmask = layout.xmask, layout.ymask, layout.qmask
+        out = [
+            f"{coeff[terms[k]]}{text[k & xmask]}{text[k & ymask]}{text[k & qmask]}"[:-1]
+            for k in sorted(terms, reverse=True)
+        ]
+        if 0 in terms:  # the constant term, the lowest key, is its magnitude
+            out[-1] = coeff[terms[0]][:3] + str(abs(terms[0]))
         # the first term keeps only its sign
         out[0] = out[0][3:] if out[0][1] == "+" else "-" + out[0][3:]
         return "".join(out)

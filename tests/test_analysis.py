@@ -4,6 +4,9 @@ import json
 import pytest
 
 from qbpd.analysis import (
+    CancellationStats,
+    SweepSummary,
+    WeightCells,
     bwt,
     cancellation_stats,
     is_cancellation_free,
@@ -239,3 +242,27 @@ def test_golden_output_s5():
             h.update(p.canonical_text().encode())
             h.update(json.dumps(p.to_json_dict(), sort_keys=True).encode())
     assert h.hexdigest() == "0ff6a43baf5c9afec02e72a0a831e174"
+
+
+def test_records_keep_their_fields():
+    w = make_permutation([3, 4, 2, 1])
+    stats = cancellation_stats(w)
+    assert CancellationStats._fields == (
+        "perm", "poly_monomials", "qbpd_monomials", "cancellations", "qbpd_count"
+    )
+    assert stats == CancellationStats(
+        perm=w, poly_monomials=60, qbpd_monomials=60, cancellations=0, qbpd_count=6
+    )
+    assert SweepSummary._fields == (
+        "n", "total", "average", "max_cancellations", "argmax"
+    )
+    identity = make_permutation([1, 2, 3])
+    assert sweep(3) == SweepSummary(
+        n=3, total=0, average=0.0, max_cancellations=0, argmax=identity
+    )
+    assert WeightCells._fields == ("E", "Q", "NQ")
+    cells = weight_cells(rothe_diagram(make_permutation([2, 1])))
+    assert cells == WeightCells(E=frozenset({(1, 1)}), Q=frozenset(), NQ=frozenset())
+    assert repr(cells) == (
+        "WeightCells(E=frozenset({(1, 1)}), Q=frozenset(), NQ=frozenset())"
+    )

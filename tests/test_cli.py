@@ -74,6 +74,26 @@ def test_poly_specialize(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode", ["qbpd", "oracle", "transition"])
+def test_poly_checks_specialization_before_computing(capsys, monkeypatch, mode):
+    import qbpd.analysis
+    import qbpd.oracle
+
+    def must_not_run(w):
+        raise AssertionError(f"polynomial of {w} built before --specialize was checked")
+
+    for module, name in (
+        (qbpd.analysis, "qbpd_polynomial"),
+        (qbpd.oracle, "quantum_double_schubert_defining"),
+        (qbpd.oracle, "quantum_double_schubert_transition"),
+    ):
+        monkeypatch.setattr(module, name, must_not_run)
+    argv = ("poly", "654321", "--mode", mode, "--specialize", "y,z")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown specialization ['z']\n"
+
+
 def test_stats_perm(capsys):
     code, out, _ = run(capsys, "stats", "--perm", "4132")
     assert code == 0 and out.strip() == "50,54,2,9"

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import qbpd.diagram
 from qbpd.diagram import (
     Diagram,
+    PipeStep,
+    PipeTrace,
     TileKind,
     canonical_key,
     diagram_from_text,
@@ -265,3 +268,36 @@ def test_extract_and_weight_cells_trace_once(monkeypatch):
     calls.clear()
     assert (1, 1) in weight_cells(D).E
     assert calls == [4]
+
+
+def test_diagram_is_a_frozen_record():
+    D = rothe_diagram(make_permutation([2, 1]))
+    assert repr(D) == (
+        "Diagram(n=2, tiles=((<TileKind.BLANK: 0>, <TileKind.ES: 1>),"
+        " (<TileKind.ES: 1>, <TileKind.CROSS: 7>)), dominoes=frozenset())"
+    )
+    paired = Diagram(n=2, tiles=D.tiles, dominoes=frozenset({(1, 1)}))
+    assert repr(paired).endswith(", dominoes=frozenset({(1, 1)}))")
+    assert D == Diagram(2, D.tiles) == Diagram(2, D.tiles, frozenset())
+    assert D != paired and D != Diagram(3, D.tiles)
+    assert hash(D) == hash(Diagram(2, D.tiles)) == hash((2, D.tiles, frozenset()))
+    assert D != (2, D.tiles, frozenset())
+    assert len({D, Diagram(2, D.tiles), paired}) == 2
+    for name in ("n", "tiles", "dominoes", "other"):
+        with pytest.raises(AttributeError):
+            setattr(D, name, None)
+    with pytest.raises(AttributeError):
+        del D.dominoes
+    for E in (D, paired):
+        again = pickle.loads(pickle.dumps(E))
+        assert again == E and type(again) is Diagram
+
+
+def test_pipe_trace_fields():
+    assert PipeTrace._fields == ("start_row", "steps", "end_col")
+    first = trace_pipes(rothe_diagram(make_permutation([2, 1])))[0]
+    assert first == PipeTrace(
+        start_row=1,
+        steps=(PipeStep((1, 2), "E", "S"), PipeStep((2, 2), "N", "S")),
+        end_col=2,
+    )

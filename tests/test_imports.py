@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qbpd
 
 # Every name ``qbpd`` exports.
@@ -24,23 +26,35 @@ EXPORTED = """
 """.split()
 
 
-def test_import_cli_loads_no_polynomial_code():
+def loaded_after(statement: str, prefixes: tuple[str, ...]) -> list[str]:
+    """The modules starting with ``prefixes`` loaded after ``statement``."""
     src = str(Path(qbpd.__file__).resolve().parent.parent)
     code = (
-        "import sys; import qbpd.cli; "
-        "print(' '.join(sorted(m for m in sys.modules"
-        " if m.startswith(('qbpd', 'concurrent')))))"
+        f"import sys; {statement}; "
+        f"print(' '.join(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))"
     )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
         env=dict(os.environ, PYTHONPATH=src),
     ).stdout.split()
+
+
+def test_import_cli_loads_no_polynomial_code():
+    out = loaded_after("import qbpd.cli", ("qbpd", "concurrent"))
     assert out == [
         "qbpd", "qbpd.cli", "qbpd.columns", "qbpd.diagram", "qbpd.errors", "qbpd.perm"
     ]
+
+
+@pytest.mark.parametrize(
+    "statement", ["import qbpd.cli", "import qbpd.analysis, qbpd.oracle"]
+)
+def test_import_loads_no_dataclasses_or_inspect(statement):
+    # dataclasses loads inspect, and with it ast, dis and tokenize, on every request
+    assert loaded_after(statement, ("dataclasses", "inspect")) == []
 
 
 def test_every_exported_name_resolves():

@@ -179,3 +179,10 @@ def test_public_moves_pinned_s4():
     flat = D.flat()
     lifted = diagram_from_text("4\nRSRH\nVVVR\nVNCC\nVRCC\n").flat()
     assert (lifted, (1, 1, 2, 2, 3)) in _lift_candidates(flat, 4, _trace(flat, 4)[1])
+
+
+def test_rect_move_fields():
+    assert RectMove._fields == ("kind", "r1", "c1", "r2", "c2", "pipe")
+    move = RectMove(kind="lift", r1=1, c1=1, r2=2, c2=2, pipe=2)
+    assert move == RectMove("lift", 1, 1, 2, 2, pipe=2)
+    assert repr(move) == "RectMove(kind='lift', r1=1, c1=1, r2=2, c2=2, pipe=2)"

@@ -1,9 +1,12 @@
 import itertools
+import pickle
 
 import pytest
 
 from qbpd.errors import IdentityPermutation, NotABijection, OutOfRange
 from qbpd.perm import (
+    Permutation,
+    TransitionData,
     embed,
     enumerate_symmetric_group,
     is_bruhat_cover,
@@ -161,3 +164,35 @@ def test_reduced_word():
         for a in word:
             acc = right_multiply_transposition(acc, a, a + 1)
         assert acc == w
+
+
+def test_permutation_is_a_frozen_record():
+    w = make_permutation([3, 1, 2])
+    assert repr(w) == "Permutation(images=(3, 1, 2))"
+    assert repr(Permutation(images=[2, 1])) == "Permutation(images=(2, 1))"
+    assert w == Permutation((3, 1, 2)) and w != Permutation((1, 3, 2))
+    assert hash(w) == hash(Permutation((3, 1, 2)))
+    assert w != (3, 1, 2) and w != ((3, 1, 2),)
+    assert len({w, Permutation((3, 1, 2)), Permutation((1, 2, 3))}) == 2
+    for name in ("images", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, (1, 2, 3))
+    with pytest.raises(AttributeError):
+        del w.images
+    assert w.images == (3, 1, 2)
+    again = pickle.loads(pickle.dumps(w))
+    assert again == w and type(again) is Permutation
+    with pytest.raises(NotABijection):
+        Permutation((1, 1))
+
+
+def test_transition_data_fields():
+    assert TransitionData._fields == ("n", "a", "b", "m", "sigma", "S", "p")
+    td = transition_setup(make_permutation([3, 4, 2, 1]))
+    assert td == TransitionData(
+        n=4, a=2, b=3, m=2, sigma=make_permutation([3, 2, 4, 1]), S=(1,), p=(2, 3)
+    )
+    assert repr(td) == (
+        "TransitionData(n=4, a=2, b=3, m=2, sigma=Permutation(images=(3, 2, 4, 1)),"
+        " S=(1,), p=(2, 3))"
+    )

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbpd.errors import AmbientMismatch, OutOfRange
 from qbpd.polyring import Monomial, Poly
@@ -303,3 +303,65 @@ def test_exponent_range_boundaries():
     with pytest.raises(OutOfRange):
         half * half
     assert (half * Poly(2, {(0, 0, 63, 0, 0): 1})).canonical_text() == "y1^127"
+
+
+# -- the output path: re-pack from the weight sum's layout, and text --------------
+
+# +-1 print without a factor; the large ones reach past one machine word
+coefficients = st.integers(-3, 3) | st.integers(-(10**30), 10**30)
+coefficients = coefficients.filter(bool)
+
+
+def ref_pack_narrow(k, n):
+    # fields just wide enough for exponents up to n, slot 0 the highest
+    width = (n + 1).bit_length()
+    key = 0
+    for e in k:
+        key = key << width | e
+    return key
+
+
+narrow_case = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, n)] * (3 * n - 1)), coefficients, max_size=12
+        ),
+        st.integers(1, 3),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(narrow_case)
+@example((1, {(0, 0): -5}, 1))  # n = 1: no q block; only the constant term
+@example((1, {(1, 1): -1, (0, 1): 1, (0, 0): 1}, 2))
+@example((3, {(3,) * 8: -7, (3, 0, 0, 0, 0, 0, 0, 3): 1, (0,) * 8: -1}, 2))
+def test_from_packed_and_text_match_reference(case):
+    n, f, nparts = case
+    parts = [{} for _ in range(nparts)]
+    for i, (k, c) in enumerate(sorted(f.items())):
+        parts[i % nparts][ref_pack_narrow(k, n)] = c
+    p = Poly._from_packed(n, iter(parts))
+    assert flat_terms(p) == f
+    assert p.canonical_text() == ref_text(f, n)
+
+
+wide_case = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(
+            st.tuples(*[st.sampled_from((0, 1, 2, 126, 127))] * (3 * n - 1)),
+            coefficients,
+            max_size=12,
+        ),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_case)
+@example((2, {(127,) * 5: -1, (0,) * 5: 12}))
+def test_text_at_the_exponent_limit_matches_reference(case):
+    n, f = case
+    assert Poly(n, f).canonical_text() == ref_text(f, n)
