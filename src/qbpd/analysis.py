@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .diagram import _B, _NE, _SW, _X, S, Diagram, _blank_runs, _valid_trace
 from .errors import IdentityPermutation, OutOfRange, SizeLimit
 from .columns import column_graph
-from .oracle import transition_rhs
 from .perm import Permutation, enumerate_symmetric_group, length
 from .polyring import Poly, _mac, _narrow
 
@@ -357,6 +356,8 @@ def sweep(n: int, jobs: int | None = None, force: bool = False) -> SweepSummary:
 
 def verify_transition(pi: Permutation) -> Poly:
     """LHS minus RHS of the transition equation with every polynomial a T."""
+    from .oracle import transition_rhs
+
     if pi.is_identity():
         raise IdentityPermutation("transition applies to non-identity input")
     return qbpd_polynomial(pi) - transition_rhs(pi, qbpd_polynomial)

@@ -5,8 +5,9 @@ the three routes), ``stats`` (cancellation statistics and sweeps),
 ``verify`` (invariant suites) and ``render`` (ASCII/SVG drawings).
 
 Exit codes: 0 success, 1 a verification failed, 2 usage or parse error.
-A reader that closes stdout early ends the command quietly with 0.
-Verbs import what they use when they run, so ``enum`` loads no ``Poly`` code.
+A reader that closes stdout early ends the command quietly with 0, and
+any other failure to write stdout exits 2.  Each verb, ``poly`` mode and
+``verify`` check imports only the modules it runs, when it runs.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import math
 import os
 import sys
 
-from .columns import flat_diagrams
-from .diagram import Diagram, diagram_from_text, flat_text, validate
 from .errors import NotABijection, OutOfRange, SizeLimit
 from .perm import Permutation, embed, enumerate_symmetric_group, parse_permutation
 
@@ -62,6 +61,9 @@ def _write(text: str, out: str | None):
 
 
 def cmd_enum(args) -> int:
+    from .columns import flat_diagrams
+    from .diagram import flat_text
+
     w = _sized_perm(args, args.perm)
     ds = flat_diagrams(w, unpaired=args.unpaired)
     print(len(ds))
@@ -71,8 +73,6 @@ def cmd_enum(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    from . import analysis, oracle
-
     w = _sized_perm(args, args.perm)
     families = {s.strip() for s in (args.specialize or "").split(",") if s.strip()}
     bad = families - {"y", "q"}
@@ -80,12 +80,12 @@ def cmd_poly(args) -> int:
         print(f"error: unknown specialization {sorted(bad)}", file=sys.stderr)
         return USAGE_ERROR
     if args.mode == "qbpd":
-        p = analysis.qbpd_polynomial(w)
+        from .analysis import qbpd_polynomial as route
     elif args.mode == "oracle":
-        p = oracle.quantum_double_schubert_defining(w)
+        from .oracle import quantum_double_schubert_defining as route
     else:
-        p = oracle.quantum_double_schubert_transition(w)
-    p = p.specialize(zero_y="y" in families, zero_q="q" in families)
+        from .oracle import quantum_double_schubert_transition as route
+    p = route(w).specialize(zero_y="y" in families, zero_q="q" in families)
     if args.format == "json":
         import json
 
@@ -187,8 +187,6 @@ def _verify_perms(n, sample, seed):
 
 
 def cmd_verify(args) -> int:
-    from . import analysis, oracle
-
     if args.sample is not None and args.sample < 1:
         raise OutOfRange(f"--sample must be >= 1, got {args.sample}")
     n = args.n
@@ -196,6 +194,8 @@ def cmd_verify(args) -> int:
     failures = []
     checked = 0
     if args.check == "theorem":
+        from . import analysis, oracle
+
         for w in _verify_perms(n, args.sample, args.seed):
             t = analysis.qbpd_polynomial(w)
             checked += 1
@@ -204,17 +204,21 @@ def cmd_verify(args) -> int:
             elif t != oracle.quantum_double_schubert_transition(w):
                 failures.append(f"{w}: weight sum differs from transition recursion")
     elif args.check == "transition":
+        from .analysis import verify_transition
+
         for w in _verify_perms(n, args.sample, args.seed):
             if w.is_identity():
                 continue
             checked += 1
-            if not analysis.verify_transition(w).is_zero():
+            if not verify_transition(w).is_zero():
                 failures.append(f"{w}: nonzero transition residual")
     elif args.check == "monk":
+        from .oracle import monk_residual
+
         for w in _verify_perms(n, args.sample, args.seed):
             for k in range(1, n):
                 checked += 1
-                if not oracle.monk_residual(k, w).is_zero():
+                if not monk_residual(k, w).is_zero():
                     failures.append(f"k={k}, {w}: nonzero Monk residual")
     elif args.check == "closure":
         from .columns import column_enumerate
@@ -225,10 +229,12 @@ def cmd_verify(args) -> int:
             if enumerate_qbpds(w) != column_enumerate(w):
                 failures.append(f"{w}: move closure differs from column enumeration")
     else:  # stability
+        from .analysis import qbpd_polynomial
+
         for w in _verify_perms(n, args.sample, args.seed):
             checked += 1
-            lifted = analysis.qbpd_polynomial(embed(w, n + 1))
-            if lifted != analysis.qbpd_polynomial(w).embed(n + 1):
+            lifted = qbpd_polynomial(embed(w, n + 1))
+            if lifted != qbpd_polynomial(w).embed(n + 1):
                 failures.append(f"{w}: weight sum not stable under embedding")
     for line in failures:
         print(f"FAIL {line}")
@@ -244,6 +250,8 @@ def _pick(count: int, index: int) -> int:
 
 
 def cmd_render(args) -> int:
+    from .columns import flat_diagrams
+    from .diagram import Diagram, diagram_from_text, validate
     from .render import render_ascii, render_svg
 
     if os.path.exists(args.target):
@@ -348,10 +356,14 @@ def main(argv=None) -> int:
     except (OutOfRange, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except BrokenPipeError:
-        # the reader has all it wants; the flush at exit goes to devnull
+    except OSError as exc:
+        # every file a verb opens has its own handler, so this is stdout's;
+        # the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        if isinstance(exc, BrokenPipeError):
+            return 0  # the reader has all it wants
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

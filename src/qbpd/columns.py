@@ -26,6 +26,8 @@ move closure in ``moves`` are independent checks of each other.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .diagram import _B, _ES, _EW, _NE, _NS, _SW, _WN, _X, Diagram, _pairings
 from .errors import SizeLimit
 from .perm import Permutation
@@ -35,8 +37,9 @@ __all__ = ["column_graph", "flat_diagrams", "column_enumerate"]
 _FREE, _DOWN, _UP = 0, 1, 2
 
 
+@lru_cache(maxsize=None)
 def _column_moves(rows: tuple[int, ...], k: int, n: int):
-    """Every legal filling of one column: ``[(next state, tiles), ...]``.
+    """Every legal filling of one column: ``((next state, tiles), ...)``.
 
     ``rows`` is the state on the column's east side and ``k`` the position
     in it of the pipe that ends in this column.  ``tiles`` holds the
@@ -44,7 +47,8 @@ def _column_moves(rows: tuple[int, ...], k: int, n: int):
     rows and branches wherever a row admits two tiles: a blank or the SW
     corner that opens an upward run, a passer or the ES corner that starts
     a downward run, a NS tile or the WN corner that ends one, a CROSS or
-    the NE corner that closes an upward run.
+    the NE corner that closes an upward run.  The fillings depend on
+    ``(rows, k, n)`` alone, so they are cached for the life of the process.
     """
     at = [-1] * n  # row -> position of the pipe entering there
     for pos, r in enumerate(rows):
@@ -102,16 +106,16 @@ def _column_moves(rows: tuple[int, ...], k: int, n: int):
             moves.append((tuple(out[:k] + out[k + 1 :]), bytes(tiles)))
 
     scan(0, _FREE, 0, 0)
-    return moves
+    return tuple(moves)
 
 
 def column_graph(w: Permutation) -> list[dict]:
     """The reachable states of w and their fillings, column by column.
 
     Returns one dict per column, from column n (east) to column 1 (west),
-    mapping each state reachable on the column's east side to its list of
+    mapping each state reachable on the column's east side to its tuple of
     ``(next state, tiles)`` fillings.  The west edge has the one state
-    ``()``; a state with no path to it has an empty list or leads only to
+    ``()``; a state with no path to it has no filling or leads only to
     such states.
     """
     n = w.n

@@ -10,7 +10,9 @@ Two independent routes are provided for the quantum double family:
   holds y_{n-k} alone, so the chain keeps blocks with disjoint y indices,
   and by the Leibniz rule d_j(f g) = d_j(f) g for g free of y_j and
   y_{j+1}, each d_j multiplies and divides only the blocks holding one of
-  them; the blocks are multiplied once, at the end;
+  them; the blocks are multiplied once, at the end.  The chain runs in
+  S_m, m the last point w moves, and its result is embedded into the
+  ambient size of w (the family is stable), as the transition route does;
 * the transition recursion, which rewrites the polynomial of w in terms of
   polynomials of permutations that are smaller in the termination order
   (largest moved point, then position of its preimage).
@@ -146,10 +148,12 @@ def _product(polys, n: int) -> Poly:
 
 
 def _signed_chain(w: Permutation, cache: dict, top) -> Poly:
-    n = w.n
-    blocks = _chain(w.images, cache, top)
-    poly = _product((p for _, p in blocks), n)
-    return poly if (n * (n - 1) // 2 - length(w)) % 2 == 0 else -poly
+    """The chain of w in S_m, m its last moved point, embedded into S_n."""
+    images = w.trimmed_images()
+    m = len(images)
+    # the blocks are smaller than their product, so they are embedded first
+    poly = _product((p.embed(w.n) for _, p in _chain(images, cache, top)), w.n)
+    return poly if (m * (m - 1) // 2 - length(w)) % 2 == 0 else -poly
 
 
 def quantum_double_schubert_defining(w: Permutation) -> Poly:
@@ -199,7 +203,8 @@ def monk_residual(k: int, w: Permutation) -> Poly:
     sk = make_permutation(
         tuple(k + 1 if v == k else k if v == k + 1 else v for v in range(1, N + 1))
     )
-    lhs = quantum_double_schubert_defining(sk) * quantum_double_schubert_defining(wE)
+    swE = quantum_double_schubert_defining(wE)
+    lhs = quantum_double_schubert_defining(sk) * swE
     rhs = Poly.zero(N)
     for a in range(1, k + 1):
         for b in range(k + 1, N + 1):
@@ -214,7 +219,7 @@ def monk_residual(k: int, w: Permutation) -> Poly:
     extra = Poly.zero(N)
     for i in range(1, k + 1):
         extra = extra + Poly.y(wE(i), N) - Poly.y(i, N)
-    rhs = rhs + extra * quantum_double_schubert_defining(wE)
+    rhs = rhs + extra * swE
     return lhs - rhs
 
 

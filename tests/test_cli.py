@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -335,6 +336,38 @@ def test_closed_stdout_ends_quietly(argv, lines):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait() == 0 and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "321"],
+        ["poly", "321"],
+        ["stats", "--perm", "321"],
+        ["verify", "monk", "--n", "3"],
+        ["render", "321"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_full_stdout_exit_2(argv):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qbpd
+
+    src = str(Path(qbpd.__file__).resolve().parent.parent)
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "qbpd", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 def test_out_to_missing_directory_exit_2(tmp_path, capsys):

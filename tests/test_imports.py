@@ -44,9 +44,28 @@ def loaded_after(statement: str, prefixes: tuple[str, ...]) -> list[str]:
 
 def test_import_cli_loads_no_polynomial_code():
     out = loaded_after("import qbpd.cli", ("qbpd", "concurrent"))
-    assert out == [
-        "qbpd", "qbpd.cli", "qbpd.columns", "qbpd.diagram", "qbpd.errors", "qbpd.perm"
-    ]
+    assert out == ["qbpd", "qbpd.cli", "qbpd.errors", "qbpd.perm"]
+
+
+@pytest.mark.parametrize(
+    "mode, loaded",
+    [
+        ("qbpd", ["qbpd.analysis", "qbpd.columns", "qbpd.diagram"]),
+        ("oracle", ["qbpd.oracle"]),
+        ("transition", ["qbpd.oracle"]),
+    ],
+)
+def test_poly_loads_only_its_route(mode, loaded):
+    statement = (
+        "import os; from qbpd.cli import main; "
+        f"main(['poly', '4231', '--mode', '{mode}', '--out', os.devnull])"
+    )
+    routes = ("qbpd.analysis", "qbpd.columns", "qbpd.diagram", "qbpd.oracle")
+    assert loaded_after(statement, routes) == loaded
+
+
+def test_import_analysis_loads_no_oracle():
+    assert loaded_after("import qbpd.analysis", ("qbpd.oracle",)) == []
 
 
 @pytest.mark.parametrize(

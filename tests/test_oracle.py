@@ -243,6 +243,41 @@ def test_defining_equals_chain_on_expanded_top():
             assert route(w) == expect, w.to_text()
 
 
+def test_defining_of_a_trimmed_row_equals_the_full_chain():
+    # a row with w(n) = n is computed in S_m, m its last moved point, and
+    # embedded; the chain on the expanded top of the full S_n must agree
+    import random
+
+    from qbpd.perm import reduced_word
+
+    fixed = {n: [w for w in enumerate_symmetric_group(n) if w(n) == n] for n in (5, 6)}
+    cases = fixed[5] + random.Random(13).sample(fixed[6], 20)
+    for route, expanded in (
+        (quantum_double_schubert_defining, expanded_quantum_top),
+        (double_schubert_defining, expanded_classical_top),
+    ):
+        tops = {n: expanded(n) for n in (5, 6)}
+        chains = {}
+
+        def chain(n, word):
+            # d_{a_1}(d_{a_2} ... d_{a_k} top): each word reuses its suffix
+            if not word:
+                return tops[n]
+            if (n, word) not in chains:
+                chains[n, word] = divided_difference_chain(chain(n, word[1:]), word[:1])
+            return chains[n, word]
+
+        for w in cases:
+            n = w.n
+            word = reduced_word(make_permutation(tuple(reversed(w.images))))
+            expect = chain(n, word)
+            if n == 5:
+                assert expect == divided_difference_chain(tops[n], word)
+            if (n * (n - 1) // 2 - length(w)) % 2:
+                expect = -expect
+            assert route(w) == expect, w.to_text()
+
+
 def test_three_routes_agree_on_an_s7_row():
     from qbpd.analysis import qbpd_polynomial
 
