@@ -214,11 +214,10 @@ def _accumulate(w: Permutation):
         c = n - 1 - depth
         west = c == 0
         nxt: dict = {}
-        # largest first, each freed once spent: the next boundary grows as
-        # this one shrinks
-        size = {s: sum(map(len, cur[s][0].values())) for s in cur}
-        for state in sorted(cur, key=size.__getitem__, reverse=True):
-            parts, g, f = cur.pop(state)
+        # each state is freed once spent: the next boundary grows as this
+        # one shrinks
+        while cur:
+            state, (parts, g, f) = cur.popitem()
             for new, tiles in layer[state]:
                 wparts, tg, tf = _column_weight(n, c, tiles)
                 if west:
@@ -276,11 +275,6 @@ def is_cancellation_free(w: Permutation) -> bool:
 # sweeps
 
 
-def _stats_row(images: tuple[int, ...]):
-    s = cancellation_stats(Permutation(images))
-    return (images, s.poly_monomials, s.qbpd_monomials, s.cancellations, s.qbpd_count)
-
-
 def resolve_jobs(jobs: int | None) -> int:
     """Worker count: ``jobs``, else ``QBPD_JOBS``, else the CPU count."""
     name, given = "jobs", jobs
@@ -308,24 +302,13 @@ def stats_for_group(n: int, jobs: int | None = None, force: bool = False):
         raise SizeLimit("sweeps above S_6 must be forced explicitly")
     jobs = resolve_jobs(jobs)
     order = sorted(enumerate_symmetric_group(n), key=length, reverse=True)
-    perms = [w.images for w in order]
-    if jobs == 1 or len(perms) < 4:
-        rows = [_stats_row(images) for images in perms]
+    if jobs == 1 or len(order) < 4:
+        rows = list(map(cancellation_stats, order))
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_stats_row, perms))
-    rows.sort(key=lambda row: row[0])
-    return [
-        CancellationStats(
-            perm=Permutation(images),
-            poly_monomials=poly,
-            qbpd_monomials=qb,
-            cancellations=canc,
-            qbpd_count=cnt,
-        )
-        for images, poly, qb, canc, cnt in rows
-    ]
+            rows = list(pool.map(cancellation_stats, order))
+    return sorted(rows, key=lambda s: s.perm.images)
 
 
 def summarize(n: int, rows) -> SweepSummary:

@@ -96,19 +96,11 @@ def cmd_poly(args) -> int:
 
 
 def _stats_text(s) -> str:
-    return (
-        f"{s.poly_monomials},{s.qbpd_monomials},{s.cancellations},{s.qbpd_count}"
-    )
+    return ",".join(map(str, s[1:]))
 
 
 def _stats_dict(s) -> dict:
-    return {
-        "perm": s.perm.to_text(),
-        "poly_monomials": s.poly_monomials,
-        "qbpd_monomials": s.qbpd_monomials,
-        "cancellations": s.cancellations,
-        "qbpd_count": s.qbpd_count,
-    }
+    return {**s._asdict(), "perm": s.perm.to_text()}
 
 
 CSV_HEADER = "perm,poly_monomials,qbpd_monomials,cancellations,qbpd_count"
@@ -221,12 +213,14 @@ def cmd_verify(args) -> int:
                 if not monk_residual(k, w).is_zero():
                     failures.append(f"k={k}, {w}: nonzero Monk residual")
     elif args.check == "closure":
-        from .columns import column_enumerate
-        from .moves import enumerate_qbpds
+        # both sides expand each tiling through the same domino pairings
+        from .columns import flat_diagrams
+        from .moves import _closure
 
         for w in _verify_perms(n, args.sample, args.seed):
             checked += 1
-            if enumerate_qbpds(w) != column_enumerate(w):
+            walked = [tiles for tiles, _ in flat_diagrams(w, unpaired=True)]
+            if sorted(_closure(w)) != walked:
                 failures.append(f"{w}: move closure differs from column enumeration")
     else:  # stability
         from .analysis import qbpd_polynomial

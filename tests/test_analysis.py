@@ -26,7 +26,12 @@ from qbpd.oracle import (
     quantum_double_schubert_defining,
     quantum_double_schubert_transition,
 )
-from qbpd.perm import embed, enumerate_symmetric_group, make_permutation
+from qbpd.perm import (
+    Permutation,
+    embed,
+    enumerate_symmetric_group,
+    make_permutation,
+)
 from qbpd.polyring import Poly, _narrow
 
 from conftest import cycle_down, cycle_up
@@ -158,6 +163,13 @@ def test_stats_for_group_order_independent_of_workers():
     assert [s.perm.images for s in rows] == [
         w.images for w in enumerate_symmetric_group(5)
     ]
+
+
+def test_stats_for_group_rows_are_records_from_workers():
+    # a NamedTuple equals a plain tuple, so the equality above misses the type
+    for s in stats_for_group(5, jobs=2):
+        assert type(s) is CancellationStats
+        assert type(s.perm) is Permutation
 
 
 def test_weight_sum_matches_per_diagram_weights_s5():

@@ -103,7 +103,10 @@ def test_stats_perm(capsys):
     assert lines[0] == "perm,poly_monomials,qbpd_monomials,cancellations,qbpd_count"
     assert lines[1] == "4132,50,54,2,9"
     code, out, _ = run(capsys, "stats", "--perm", "4132", "--format", "json")
-    assert json.loads(out)["cancellations"] == 2
+    assert out == (
+        '{"perm": "4132", "poly_monomials": 50, "qbpd_monomials": 54,'
+        ' "cancellations": 2, "qbpd_count": 9}\n'
+    )
 
 
 def test_stats_group(capsys):
@@ -127,6 +130,16 @@ def test_stats_deterministic_across_workers(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_stats_json_identical_across_workers(capsys):
+    digests = set()
+    for jobs in ("1", "2"):
+        argv = ("--jobs", jobs, "stats", "--n", "3", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        digests.add(hashlib.md5(out.encode()).hexdigest())
+    assert digests == {"80c7c609884643888c31b9a0a614e360"}
 
 
 def test_bad_jobs_exit_2(capsys, monkeypatch):
@@ -390,6 +403,25 @@ def test_verify_size_guard(capsys):
         code, out, err = run(capsys, "verify", check, "--n", "8")
         assert code == 2 and not out
         assert "verify with n = 8" in err and "--force" in err
+
+
+def test_verify_closure_forced_s8(capsys):
+    # seed 5 draws 43267158, whose 30 tilings take about 0.01 s
+    argv = ("verify", "closure", "--n", "8", "--force", "--sample", "1", "--seed", "5")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, "closure n=8: 1 checks, ok\n", "")
+
+
+def test_verify_closure_reports_a_missing_tiling(capsys, monkeypatch):
+    import qbpd.moves
+
+    closure = qbpd.moves._closure
+    monkeypatch.setattr(qbpd.moves, "_closure", lambda w: closure(w)[:-1])
+    code, out, _ = run(capsys, "verify", "closure", "--n", "3", "--sample", "1")
+    assert code == 1
+    first, *_, last = out.splitlines()
+    assert first.endswith(": move closure differs from column enumeration")
+    assert last == "closure n=3: 1 checks, 1 failures"
 
 
 def test_render_perm_size_guard(capsys):

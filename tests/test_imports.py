@@ -64,6 +64,16 @@ def test_poly_loads_only_its_route(mode, loaded):
     assert loaded_after(statement, routes) == loaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--jobs", "1", "stats", "--n", "3"], ["stats", "--perm", "4231"]],
+    ids=["group-one-job", "perm"],
+)
+def test_stats_loads_no_pool_or_oracle(argv):
+    statement = f"from qbpd.cli import main; main({argv + ['--out', os.devnull]!r})"
+    assert loaded_after(statement, ("concurrent", "qbpd.oracle")) == []
+
+
 def test_import_analysis_loads_no_oracle():
     assert loaded_after("import qbpd.analysis", ("qbpd.oracle",)) == []
 
