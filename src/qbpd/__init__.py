@@ -19,12 +19,11 @@ _NAMES = {
         cancellation_stats is_cancellation_free is_classical_bpd
         qbpd_polynomial stats_for_group sweep verify_transition weight_cells
         wt""",
-    "diagram": """Diagram PipeStep PipeTrace TileKind canonical_key
-        diagram_from_text diagram_to_text domino_pairings embed_diagram
-        extract_permutation restrict_diagram rothe_diagram trace_pipes
+    "diagram": """Diagram TileKind canonical_key diagram_from_text
+        diagram_to_text domino_pairings extract_permutation rothe_diagram
         validate""",
     "columns": "column_enumerate",
-    "moves": "RectMove apply_droop apply_lift enumerate_qbpds enumerate_unpaired",
+    "moves": "enumerate_qbpds enumerate_unpaired",
     "oracle": """divided_difference_chain double_schubert_defining
         monk_residual q_interval quantum_double_schubert_defining
         quantum_double_schubert_transition quantum_e""",

@@ -11,8 +11,8 @@ Traversal directions are never stored: they are recomputed by tracing,
 which is also how validity is checked.  One tracer follows each pipe along
 the segment holding its entry side, records a rightward step as a
 violation and goes on, and audits segment use and crossings;
-``validate`` reports all of its violations, while ``trace_pipes`` raises
-:class:`TracingStuck` at the first bad step of a pipe.
+``validate``, ``extract_permutation``, the weight cells and the move
+closure all read it.
 """
 
 from __future__ import annotations
@@ -20,28 +20,17 @@ from __future__ import annotations
 import enum
 from itertools import chain
 from operator import attrgetter
-from typing import NamedTuple
 
-from .errors import (
-    HasDominoes,
-    InvalidDiagram,
-    NotRestrictable,
-    TracingStuck,
-)
+from .errors import HasDominoes, InvalidDiagram
 from .perm import Permutation, _Record, make_permutation
 
 __all__ = [
     "TileKind",
     "Diagram",
-    "PipeStep",
-    "PipeTrace",
     "rothe_diagram",
-    "trace_pipes",
     "validate",
     "extract_permutation",
     "domino_pairings",
-    "embed_diagram",
-    "restrict_diagram",
     "canonical_key",
     "flat_text",
     "diagram_to_text",
@@ -91,20 +80,6 @@ ROUTE = (
 # the horizontal strand (or the only segment) in the low nibble and along
 # the vertical strand of a CROSS in the high one
 _EXPECTED_USAGE = bytes([0, 1, 1, 1, 1, 1, 1, 0x11]).ljust(256, b"\0")
-
-
-class PipeStep(NamedTuple):
-    cell: tuple[int, int]  # 1-based (row, column)
-    entry: str
-    exit: str
-
-
-class PipeTrace(NamedTuple):
-    """The path of one pipe, from its east-edge entry to its south-edge exit."""
-
-    start_row: int
-    steps: tuple[PipeStep, ...]
-    end_col: int
 
 
 class Diagram(_Record):
@@ -268,31 +243,6 @@ def _domino_violations(D: Diagram) -> list[str]:
     return out
 
 
-def trace_pipes(D: Diagram) -> tuple[PipeTrace, ...]:
-    """Trace all n pipes; raises :class:`TracingStuck` at the first pipe fault.
-
-    The fault is the first rightward step, side with no segment or exit
-    off the grid; segment use and crossings are not checked here.
-    """
-    end_cols, traces, violations = _trace(D.flat(), D.n)
-    for v in violations:
-        if v[0] in ("stuck", "rightward", "boundary"):
-            kind, r, c, side = v[:4]
-            raise TracingStuck((r + 1, c + 1), SIDE_CHARS[side], kind)
-    n = D.n
-    return tuple(
-        PipeTrace(
-            start_row=row0 + 1,
-            steps=tuple(
-                PipeStep((idx // n + 1, idx % n + 1), SIDE_CHARS[en], SIDE_CHARS[ex])
-                for idx, en, ex in steps
-            ),
-            end_col=end + 1,
-        )
-        for row0, (end, steps) in enumerate(zip(end_cols, traces))
-    )
-
-
 def _problems(D: Diagram, violations) -> list[str]:
     return [_format_violation(v) for v in violations] + _domino_violations(D)
 
@@ -401,37 +351,6 @@ def domino_pairings(D: Diagram) -> set[Diagram]:
         Diagram(n=D.n, tiles=D.tiles, dominoes=frozenset(dominoes))
         for dominoes in _pairings(D.flat(), D.n)
     }
-
-
-def embed_diagram(D: Diagram) -> Diagram:
-    """Extend to (n+1) x (n+1): the new pipe hugs the southeast border."""
-    n = D.n
-    rows = [row + (TileKind.EW,) for row in D.tiles]
-    rows.append(tuple(TileKind.NS for _ in range(n)) + (TileKind.ES,))
-    return Diagram(n=n + 1, tiles=tuple(rows), dominoes=D.dominoes)
-
-
-def restrict_diagram(D: Diagram) -> Diagram:
-    """Drop the last row and column when the diagram's permutation fixes n.
-
-    Inverse of :func:`embed_diagram`; the border is guaranteed to consist
-    of horizontal tiles, vertical tiles and one ES corner whenever w(n)=n.
-    """
-    n = D.n
-    if n == 1:
-        raise NotRestrictable("cannot restrict a 1x1 diagram")
-    w = extract_permutation(D)
-    if w(n) != n:
-        raise NotRestrictable(f"permutation {w} does not fix {n}")
-    border_ok = (
-        D.tile_at(n, n) == TileKind.ES
-        and all(D.tile_at(r, n) == TileKind.EW for r in range(1, n))
-        and all(D.tile_at(n, c) == TileKind.NS for c in range(1, n))
-    )
-    if not border_ok:
-        raise NotRestrictable("border is not in the stable form")
-    rows = tuple(row[: n - 1] for row in D.tiles[: n - 1])
-    return Diagram(n=n - 1, tiles=rows, dominoes=D.dominoes)
 
 
 # ---------------------------------------------------------------------------

@@ -21,22 +21,6 @@ class SizeMismatch(ValueError):
     """A sequence argument has the wrong length."""
 
 
-class TracingStuck(Exception):
-    """A pipe cannot be traced through the grid.
-
-    Carries the 1-based cell and the entry side where tracing failed.
-    """
-
-    def __init__(self, cell, side, reason=""):
-        self.cell = cell
-        self.side = side
-        self.reason = reason
-        msg = f"tracing stuck at {cell} entering from {side}"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
-
-
 class InvalidDiagram(ValueError):
     """A diagram failed validation; carries the violation list."""
 
@@ -47,18 +31,6 @@ class InvalidDiagram(ValueError):
 
 class HasDominoes(ValueError):
     """An unpaired diagram was required but the input carries dominoes."""
-
-
-class NotRestrictable(ValueError):
-    """The diagram's permutation does not fix n, so no restriction exists."""
-
-
-class MoveRejected(Exception):
-    """A droop or lift move does not apply; carries the reason."""
-
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(reason)
 
 
 class SizeLimit(ValueError):

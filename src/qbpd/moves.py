@@ -15,10 +15,7 @@ move is rejected when a rewritten cell would not be a legal tile (a second
 segment only ever forms the CROSS) or when the result fails validity or
 reducedness.  ``_droop_candidates`` and ``_lift_candidates`` are the one
 definition of the moves: they yield every rewrite of a grid together with
-its move.  The closure takes the grids, and :func:`apply_droop` and
-:func:`apply_lift` look the requested :class:`RectMove` up among them, so
-a rectangle off the grid, a missing pipe or a move of the other kind is
-rejected because it is never generated.
+its move, and the closure keeps the rewrites that trace as valid.
 
 Closure from the Rothe diagram under both moves enumerates every unpaired
 diagram of the permutation, the paper's route; dominoes are paired
@@ -31,34 +28,12 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from typing import NamedTuple
 
 from .diagram import _B, _ES, _EW, _NE, _NS, _SW, _WN, _X, E, N, S, W
 from .diagram import Diagram, _pairings, _trace, rothe_diagram
-from .errors import MoveRejected
 from .perm import Permutation
 
-__all__ = [
-    "RectMove",
-    "apply_droop",
-    "apply_lift",
-    "enumerate_unpaired",
-    "enumerate_qbpds",
-]
-
-
-class RectMove(NamedTuple):
-    """A droop or lift over the rectangle [r1..r2] x [c1..c2], 1-based.
-
-    ``pipe`` is the start row of the pipe being rerouted.
-    """
-
-    kind: str  # "droop" | "lift"
-    r1: int
-    c1: int
-    r2: int
-    c2: int
-    pipe: int
+__all__ = ["enumerate_unpaired", "enumerate_qbpds"]
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +119,9 @@ def _lift_rewrite(flat, n, r1, c1, r2, c2, ekind, xkind):
 def _droop_candidates(flat, n, traces):
     """Yield ``(grid, move)`` for every droop of ``flat``, valid or not.
 
-    ``move`` names the droop as :class:`RectMove` does, as the plain tuple
-    ``(r1, c1, r2, c2, pipe)``: a 1-based rectangle and the pipe's start
-    row.  The grid is the rewrite; the caller checks it by tracing.
+    ``move`` is the tuple ``(r1, c1, r2, c2, pipe)``: a 1-based rectangle
+    and the pipe's start row.  The grid is the rewrite; the caller checks
+    it by tracing.
     """
     for pipe, steps in enumerate(traces, 1):
         for t, (idx, entry, out) in enumerate(steps):
@@ -215,36 +190,6 @@ def _lift_candidates(flat, n, traces):
                         )
                         if new is not None:
                             yield new, (r1 + 1, c1 + 1, r2 + 1, c2 + 1, pipe)
-
-
-# ---------------------------------------------------------------------------
-# public move application: a lookup among the generated moves
-
-
-def _apply(D: Diagram, move: RectMove, kind: str, candidates) -> Diagram:
-    if D.dominoes:
-        raise MoveRejected("moves apply to unpaired diagrams only")
-    n = D.n
-    flat = D.flat()
-    _, traces, violations = _trace(flat, n)
-    if violations:
-        raise MoveRejected("diagram is not a valid reduced pipe dream")
-    for new, name in candidates(flat, n, traces):
-        if RectMove(kind, *name) == move:
-            if _trace(new, n)[2]:
-                raise MoveRejected("result is not a valid reduced diagram")
-            return Diagram.from_flat(n, new)
-    raise MoveRejected(f"{move} is not a {kind} of this diagram")
-
-
-def apply_droop(D: Diagram, move: RectMove) -> Diagram:
-    """Apply a droop; raises :class:`MoveRejected` when it does not apply."""
-    return _apply(D, move, "droop", _droop_candidates)
-
-
-def apply_lift(D: Diagram, move: RectMove) -> Diagram:
-    """Apply a lift; raises :class:`MoveRejected` when it does not apply."""
-    return _apply(D, move, "lift", _lift_candidates)
 
 
 # ---------------------------------------------------------------------------

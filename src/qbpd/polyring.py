@@ -227,11 +227,6 @@ class Poly:
     def x_minus_y(cls, i: int, j: int, n: int) -> "Poly":
         return cls.x(i, n) - cls.y(j, n)
 
-    @classmethod
-    def monomial(cls, m: Monomial, coeff: int = 1) -> "Poly":
-        n = len(m.xexp)
-        return cls(n, {m: coeff})
-
     # -- ring operations ---------------------------------------------------
 
     def _check_ambient(self, other: "Poly") -> None:
@@ -342,23 +337,6 @@ class Poly:
         mask = (layout.ymask if zero_y else 0) | (layout.qmask if zero_q else 0)
         return Poly._raw(self.n, {k: c for k, c in self._terms.items() if not k & mask})
 
-    def _y_pair(self, i: int, what: str) -> tuple[int, int, int]:
-        """Shifts of the y_i and y_{i+1} fields, and the field mask."""
-        n = self.n
-        if not 1 <= i <= n - 1:
-            raise OutOfRange(f"{what} index {i} not in 1..{n - 1}")
-        layout = _layout(n)
-        return layout.shifts[n + i - 1], layout.shifts[n + i], layout.field
-
-    def swap_y(self, i: int) -> "Poly":
-        """The action of s_i on the y variables: exchange y_i and y_{i+1}."""
-        sa, sb, field = self._y_pair(i, "swap")
-        step = (1 << sa) - (1 << sb)
-        terms = {}
-        for k, c in self._terms.items():
-            terms[k + ((k >> sb & field) - (k >> sa & field)) * step] = c
-        return Poly._raw(self.n, terms)
-
     def divided_difference_y(self, i: int) -> "Poly":
         """(f - s_i f) / (y_i - y_{i+1}), computed by exact synthetic division.
 
@@ -369,7 +347,11 @@ class Poly:
         with opposite signs, cancel, so the division is exact by
         construction.
         """
-        sa, sb, field = self._y_pair(i, "divided difference")
+        n = self.n
+        if not 1 <= i <= n - 1:
+            raise OutOfRange(f"divided difference index {i} not in 1..{n - 1}")
+        layout = _layout(n)
+        sa, sb, field = layout.shifts[n + i - 1], layout.shifts[n + i], layout.field
         ua, ub = 1 << sa, 1 << sb
         step = ua - ub
         quot: dict = {}
@@ -389,7 +371,7 @@ class Poly:
                 quot[k2] = qget(k2, 0) + sign
                 k2 += step
         # quotient exponents are at most max(a, b) - 1, so none can overflow
-        return Poly._raw(self.n, {k: c for k, c in quot.items() if c})
+        return Poly._raw(n, {k: c for k, c in quot.items() if c})
 
     # -- rendering -----------------------------------------------------------
 
@@ -441,15 +423,6 @@ class Poly:
                 for m, c in self.monomials()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Poly":
-        n = int(data["n"])
-        terms = {}
-        for t in data["terms"]:
-            key = tuple(t["x"]) + tuple(t["y"]) + tuple(t["q"])
-            terms[key] = int(t["c"])
-        return cls(n, terms)
 
     def __repr__(self):
         return f"Poly(n={self.n}, {self.canonical_text()})"

@@ -6,27 +6,23 @@ import pytest
 
 import qbpd.diagram
 from qbpd.diagram import (
+    SIDE_CHARS,
     Diagram,
-    PipeStep,
-    PipeTrace,
+    E,
+    N,
+    S,
     TileKind,
+    W,
+    _trace,
     canonical_key,
     diagram_from_text,
     diagram_to_text,
     domino_pairings,
-    embed_diagram,
     extract_permutation,
-    restrict_diagram,
     rothe_diagram,
-    trace_pipes,
     validate,
 )
-from qbpd.errors import (
-    HasDominoes,
-    InvalidDiagram,
-    NotRestrictable,
-    TracingStuck,
-)
+from qbpd.errors import HasDominoes, InvalidDiagram
 from qbpd.moves import enumerate_qbpds
 from qbpd.perm import embed, enumerate_symmetric_group, make_permutation
 
@@ -75,13 +71,14 @@ def test_rothe_round_trip(n):
 
 def test_trace_identity():
     n = 3
-    traces = trace_pipes(rothe_diagram(make_permutation([1, 2, 3])))
-    for i, tr in enumerate(traces, start=1):
-        assert tr.start_row == i and tr.end_col == i
-        west = [((i, j), "E", "W") for j in range(n, i, -1)]
-        turn = [((i, i), "E", "S")]
-        down = [((r, i), "N", "S") for r in range(i + 1, n + 1)]
-        assert [tuple(s) for s in tr.steps] == west + turn + down
+    D = rothe_diagram(make_permutation([1, 2, 3]))
+    end_cols, traces, violations = _trace(D.flat(), n)
+    assert end_cols == [0, 1, 2] and violations == []
+    for i, steps in enumerate(traces):
+        west = [(i * n + j, E, W) for j in range(n - 1, i, -1)]
+        turn = [(i * n + i, E, S)]
+        down = [(r * n + i, N, S) for r in range(i + 1, n)]
+        assert steps == west + turn + down
 
 
 def test_trace_upward_pipe_4213():
@@ -91,21 +88,23 @@ def test_trace_upward_pipe_4213():
     qs = enumerate_qbpds(make_permutation([4, 2, 1, 3]))
     target = -(Poly.q(1, 4) * Poly.q(2, 4))
     (D,) = [d for d in qs if bwt(d) == target]
-    traces = trace_pipes(D)
-    (pipe,) = [t for t in traces if t.end_col == 1]
-    assert ((2, 3), "S", "N") in [tuple(s) for s in pipe.steps]
-    assert ((1, 3), "S", "W") in [tuple(s) for s in pipe.steps]
+    end_cols, traces, _ = _trace(D.flat(), 4)
+    steps = traces[end_cols.index(0)]
+    assert (1 * 4 + 2, S, N) in steps  # up through (2,3)
+    assert (0 * 4 + 2, S, W) in steps  # and west at (1,3)
 
 
 def test_tracing_stuck_upward_last_column():
-    # a pipe that turns up in the rightmost column cannot be traced
+    # a pipe that turns up in the rightmost column cannot be traced: pipe 2
+    # enters (1,2) from the south and can only leave east
     tiles = (
         (T.BLANK, T.ES),
         (T.NS, T.NE),
     )
     D = Diagram(n=2, tiles=tiles)
-    with pytest.raises(TracingStuck):
-        trace_pipes(D)
+    end_cols, _, violations = _trace(D.flat(), 2)
+    assert end_cols == [None, None]
+    assert ("rightward", 0, 1, S, 1) in violations
     assert validate(D) != []
 
 
@@ -167,30 +166,16 @@ def test_domino_pairings():
         )
 
 
-def test_embed_restrict_round_trip():
-    for D in enumerate_qbpds(make_permutation([4, 2, 1, 3])):
-        up = embed_diagram(D)
-        assert validate(up) == []
-        assert extract_permutation(up).images == (4, 2, 1, 3, 5)
-        assert restrict_diagram(up) == D
-
-
 def test_restrict_rothe_of_fixed_point():
-    w = make_permutation([2, 1, 3])
-    assert restrict_diagram(rothe_diagram(w)) == rothe_diagram(
-        make_permutation([2, 1])
-    )
-    big = rothe_diagram(embed(make_permutation([4, 2, 1, 3]), 6))
-    assert restrict_diagram(restrict_diagram(big)) == rothe_diagram(
-        make_permutation([4, 2, 1, 3])
-    )
-
-
-def test_restrict_not_restrictable():
-    with pytest.raises(NotRestrictable):
-        restrict_diagram(rothe_diagram(make_permutation([3, 2, 1])))
-    with pytest.raises(NotRestrictable):
-        restrict_diagram(rothe_diagram(make_permutation([1])))
+    # the Rothe diagram of w fixing n is that of w restricted to S_{n-1},
+    # bordered by horizontals in column n, verticals in row n and an ES corner
+    w = make_permutation([4, 2, 1, 3])
+    small = rothe_diagram(w).tiles
+    for n in (5, 6):
+        big = rothe_diagram(embed(w, n)).tiles
+        assert tuple(row[:4] for row in big[:4]) == small
+        assert [row[4:] for row in big[:4]] == [(T.EW,) * (n - 4)] * 4
+        assert big[n - 1] == (T.NS,) * (n - 1) + (T.ES,)
 
 
 def test_canonical_key():
@@ -208,10 +193,10 @@ def test_no_upward_motion_in_rightmost_column():
     for w in enumerate_symmetric_group(4):
         for D in enumerate_qbpds(w):
             assert all(row[-1] != T.NE for row in D.tiles)
-            for tr in trace_pipes(D):
-                for step in tr.steps:
-                    if step.cell[1] == D.n:
-                        assert (step.entry, step.exit) != ("S", "N")
+            for steps in _trace(D.flat(), D.n)[1]:
+                for idx, entry, out in steps:
+                    if idx % D.n == D.n - 1:
+                        assert (entry, out) != (S, N)
 
 
 def test_text_round_trip():
@@ -225,22 +210,32 @@ def test_text_round_trip():
 
 
 def test_tracer_golden_random_grids():
-    # md5 over validate() and trace_pipes() (or the cell and side where it
-    # raises) on 20,000 random grids, pinned from the permissive/strict
-    # tracer pair that the single tracer replaced
+    # md5 over validate() and the traced pipes (or the cell and side of the
+    # first pipe fault) on 20,000 random grids, pinned from the
+    # permissive/strict tracer pair that the single tracer replaced
     rng = random.Random(5)
     h = hashlib.md5()
     for _ in range(20000):
         n = rng.randint(1, 4)
         D = Diagram.from_flat(n, [rng.randrange(8) for _ in range(n * n)])
         problems = validate(D)
-        try:
+        end_cols, traces, violations = _trace(D.flat(), n)
+        faults = [v for v in violations if v[0] in ("stuck", "rightward", "boundary")]
+        if faults:
+            _, r, c, side = faults[0][:4]
+            traced = ((r + 1, c + 1), SIDE_CHARS[side])
+        else:
             traced = [
-                (t.start_row, [tuple(s) for s in t.steps], t.end_col)
-                for t in trace_pipes(D)
+                (
+                    row + 1,
+                    [
+                        ((i // n + 1, i % n + 1), SIDE_CHARS[a], SIDE_CHARS[b])
+                        for i, a, b in steps
+                    ],
+                    end + 1,
+                )
+                for row, (end, steps) in enumerate(zip(end_cols, traces))
             ]
-        except TracingStuck as exc:
-            traced = (exc.cell, exc.side)
         h.update(f"{problems!r} {traced!r}\n".encode())
         if problems:
             with pytest.raises(InvalidDiagram) as info:
@@ -292,12 +287,3 @@ def test_diagram_is_a_frozen_record():
         again = pickle.loads(pickle.dumps(E))
         assert again == E and type(again) is Diagram
 
-
-def test_pipe_trace_fields():
-    assert PipeTrace._fields == ("start_row", "steps", "end_col")
-    first = trace_pipes(rothe_diagram(make_permutation([2, 1])))[0]
-    assert first == PipeTrace(
-        start_row=1,
-        steps=(PipeStep((1, 2), "E", "S"), PipeStep((2, 2), "N", "S")),
-        end_col=2,
-    )

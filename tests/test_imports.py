@@ -11,18 +11,17 @@ import qbpd
 
 # Every name ``qbpd`` exports.
 EXPORTED = """
-    CancellationStats Diagram Monomial Permutation PipeStep PipeTrace Poly
-    RectMove SweepSummary TileKind TransitionData WeightCells apply_droop
-    apply_lift bwt cancellation_stats canonical_key column_enumerate
-    diagram_from_text diagram_to_text divided_difference_chain domino_pairings
-    double_schubert_defining embed embed_diagram enumerate_qbpds
+    CancellationStats Diagram Monomial Permutation Poly SweepSummary TileKind
+    TransitionData WeightCells bwt cancellation_stats canonical_key
+    column_enumerate diagram_from_text diagram_to_text divided_difference_chain
+    domino_pairings double_schubert_defining embed enumerate_qbpds
     enumerate_symmetric_group enumerate_unpaired extract_permutation
     is_bruhat_cover is_cancellation_free is_classical_bpd is_quantum_lower
     length make_permutation monk_residual parse_permutation q_interval
     qbpd_polynomial quantum_double_schubert_defining
-    quantum_double_schubert_transition quantum_e reduced_word restrict_diagram
+    quantum_double_schubert_transition quantum_e reduced_word
     right_multiply_transposition rothe_diagram stats_for_group sweep
-    trace_pipes transition_setup validate verify_transition weight_cells wt
+    transition_setup validate verify_transition weight_cells wt
 """.split()
 
 
@@ -87,9 +86,20 @@ def test_import_loads_no_dataclasses_or_inspect(statement):
 
 
 def test_every_exported_name_resolves():
-    assert len(EXPORTED) == 54
+    assert len(EXPORTED) == 46
     for name in EXPORTED:
         exec(f"from qbpd import {name}", {})
         assert name in qbpd.__all__
     assert qbpd.__version__ == "0.1.0"
     assert qbpd.polyring.Poly is qbpd.Poly
+
+
+def test_move_lookup_pipe_records_and_embedding_are_not_exported():
+    removed = """PipeStep PipeTrace RectMove apply_droop apply_lift embed_diagram
+        restrict_diagram trace_pipes""".split()
+    for name in removed:
+        assert name not in qbpd.__all__
+        with pytest.raises(AttributeError):
+            getattr(qbpd, name)
+    for name in ("TracingStuck", "NotRestrictable", "MoveRejected"):
+        assert not hasattr(qbpd.errors, name)

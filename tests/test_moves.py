@@ -1,11 +1,11 @@
 import hashlib
-from itertools import combinations, product
 
 import pytest
 
 from qbpd.analysis import bwt, weight_cells
 from qbpd.columns import column_enumerate
 from qbpd.diagram import (
+    Diagram,
     _trace,
     canonical_key,
     diagram_from_text,
@@ -14,12 +14,10 @@ from qbpd.diagram import (
     rothe_diagram,
     validate,
 )
-from qbpd.errors import MoveRejected, SizeLimit
+from qbpd.errors import SizeLimit
 from qbpd.moves import (
-    RectMove,
+    _droop_candidates,
     _lift_candidates,
-    apply_droop,
-    apply_lift,
     enumerate_qbpds,
     enumerate_unpaired,
 )
@@ -27,82 +25,73 @@ from qbpd.perm import enumerate_symmetric_group, length, make_permutation
 from qbpd.polyring import Poly
 
 
+def _valid(D, candidates):
+    """The valid rewrites of an unpaired diagram, by their move."""
+    n = D.n
+    flat = D.flat()
+    return {
+        move: Diagram.from_flat(n, new)
+        for new, move in candidates(flat, n, _trace(flat, n)[1])
+        if not _trace(new, n)[2]
+    }
+
+
 def test_apply_droop_2143():
     R = rothe_diagram(make_permutation([2, 1, 4, 3]))
-    D = apply_droop(R, RectMove("droop", 1, 2, 3, 3, pipe=1))
+    D = _valid(R, _droop_candidates)[1, 2, 3, 3, 1]
     assert diagram_from_text("4\n..RH\nRHCH\nVRJR\nVVRC\n") == D
     assert validate(D) == []
 
 
 def test_apply_lift_reaches_minus_q1(minus_q1_2143):
     R = rothe_diagram(make_permutation([2, 1, 4, 3]))
-    D = apply_droop(R, RectMove("droop", 1, 2, 3, 3, pipe=1))
-    lifted = apply_lift(D, RectMove("lift", 1, 1, 2, 2, pipe=2))
+    D = _valid(R, _droop_candidates)[1, 2, 3, 3, 1]
+    lifted = _valid(D, _lift_candidates)[1, 1, 2, 2, 2]
     assert lifted == minus_q1_2143
     assert bwt(lifted) == -Poly.q(1, 4)
 
 
 def test_droop_rejected_on_occupied_corner():
-    # the southeast corner would need a WN on top of an NS
+    # no cell southeast of the ES corner at (1,2) is blank (at (4,3) the WN
+    # would land on an NS), so no droop is generated at all
     R = rothe_diagram(make_permutation([2, 1, 3, 4]))
-    with pytest.raises(MoveRejected):
-        apply_droop(R, RectMove("droop", 1, 2, 4, 3, pipe=1))
+    flat = R.flat()
+    assert list(_droop_candidates(flat, 4, _trace(flat, 4)[1])) == []
 
 
 def test_droop_requires_matching_route():
-    R = rothe_diagram(make_permutation([2, 1, 4, 3]))
-    D = apply_droop(R, RectMove("droop", 1, 2, 3, 3, pipe=1))
-    lift = RectMove("lift", 1, 1, 2, 2, pipe=2)
-    apply_lift(D, lift)
     identity = rothe_diagram(make_permutation([1, 2, 3]))
-    cases = [
-        # no blank corners anywhere on the identity
-        (identity, RectMove("droop", 1, 1, 2, 2, pipe=1)),
-        # a lift that applies is not a droop
-        (D, lift),
-        # the droop above, on pipes that do not exist
-        (R, RectMove("droop", 1, 2, 3, 3, pipe=0)),
-        (R, RectMove("droop", 1, 2, 3, 3, pipe=5)),
-    ]
-    for diagram, move in cases:
-        with pytest.raises(MoveRejected):
-            apply_droop(diagram, move)
+    # no blank corners anywhere on the identity
+    assert _valid(identity, _droop_candidates) == {}
+    # a lift that applies is not a droop
+    R = rothe_diagram(make_permutation([2, 1, 4, 3]))
+    D = _valid(R, _droop_candidates)[1, 2, 3, 3, 1]
+    lifted = _valid(D, _lift_candidates)[1, 1, 2, 2, 2]
+    assert lifted not in _valid(D, _droop_candidates).values()
 
 
 def test_lift_rejected_degenerate_rectangle():
-    R = rothe_diagram(make_permutation([2, 1, 4, 3]))
-    D = apply_droop(R, RectMove("droop", 1, 2, 3, 3, pipe=1))
-    cases = [
-        (R, apply_lift, RectMove("lift", 2, 1, 2, 3, pipe=2)),
-        # rectangles running past column or row n
-        (D, apply_lift, RectMove("lift", 1, 1, 2, 5, pipe=2)),
-        (D, apply_lift, RectMove("lift", 1, 4, 2, 5, pipe=2)),
-        (R, apply_droop, RectMove("droop", 1, 2, 5, 3, pipe=1)),
-        (R, apply_droop, RectMove("droop", 4, 2, 5, 3, pipe=1)),
-        # the lift of test_apply_lift_reaches_minus_q1 on missing pipes
-        (D, apply_lift, RectMove("lift", 1, 1, 2, 2, pipe=0)),
-        (D, apply_lift, RectMove("lift", 1, 1, 2, 2, pipe=5)),
-    ]
-    for diagram, apply, move in cases:
-        with pytest.raises(MoveRejected):
-            apply(diagram, move)
+    # every generated move, valid or not, names a rectangle with two
+    # distinct rows and columns inside the grid and a pipe that exists
+    for n in range(1, 5):
+        for w in enumerate_symmetric_group(n):
+            for D in enumerate_unpaired(w):
+                flat = D.flat()
+                traces = _trace(flat, n)[1]
+                for candidates in (_droop_candidates, _lift_candidates):
+                    for _, (r1, c1, r2, c2, pipe) in candidates(flat, n, traces):
+                        assert 1 <= r1 < r2 <= n and 1 <= c1 < c2 <= n
+                        assert 1 <= pipe <= n
 
 
 def test_lift_rejected_by_reducedness():
     # locally legal, but the detour would cross pipe 2 twice
     R = rothe_diagram(make_permutation([4, 1, 2, 3]))
-    with pytest.raises(MoveRejected) as exc:
-        apply_lift(R, RectMove("lift", 1, 2, 3, 3, pipe=3))
-    assert "valid" in str(exc.value)
-
-
-def test_moves_reject_paired_diagrams(minus_q1_2143):
-    from qbpd.diagram import domino_pairings
-
-    base = rothe_diagram(make_permutation([3, 2, 1]))
-    paired = next(D for D in domino_pairings(base) if D.dominoes)
-    with pytest.raises(MoveRejected):
-        apply_droop(paired, RectMove("droop", 1, 1, 2, 2, pipe=1))
+    flat = R.flat()
+    grids = {move: new for new, move in _lift_candidates(flat, 4, _trace(flat, 4)[1])}
+    violations = _trace(grids[1, 2, 3, 3, 3], 4)[2]
+    assert violations == [("reduced", (1, 2), ((1, 1), (1, 2)))]
+    assert (1, 2, 3, 3, 3) not in _valid(R, _lift_candidates)
 
 
 def test_enumerate_unpaired_counts():
@@ -152,37 +141,34 @@ def _rows(D):
 
 
 def test_public_moves_pinned_s4():
-    # every move of both kinds, over every rectangle inside the grid and
-    # every pipe, on every unpaired diagram of S_1..S_4
+    # every valid move of both kinds on every unpaired diagram of S_1..S_4,
+    # droops before lifts, in rectangle-rows, rectangle-columns, pipe order
     accepted = []
     for n in range(1, 5):
-        spans = list(combinations(range(1, n + 1), 2))
         for w in enumerate_symmetric_group(n):
             for D in sorted(enumerate_unpaired(w), key=canonical_key):
-                for kind, apply in (("droop", apply_droop), ("lift", apply_lift)):
-                    for (r1, r2), (c1, c2) in product(spans, spans):
-                        for pipe in range(1, n + 1):
-                            move = RectMove(kind, r1, c1, r2, c2, pipe)
-                            try:
-                                result = apply(D, move)
-                            except MoveRejected:
-                                continue
-                            accepted.append((_rows(D), move, _rows(result)))
+                for kind, candidates in (
+                    ("droop", _droop_candidates),
+                    ("lift", _lift_candidates),
+                ):
+                    valid = _valid(D, candidates)
+                    for r1, c1, r2, c2, pipe in sorted(
+                        valid, key=lambda m: ((m[0], m[2]), (m[1], m[3]), m[4])
+                    ):
+                        move = (
+                            f"RectMove(kind={kind!r}, r1={r1}, c1={c1},"
+                            f" r2={r2}, c2={c2}, pipe={pipe})"
+                        )
+                        result = valid[r1, c1, r2, c2, pipe]
+                        accepted.append((_rows(D), move, _rows(result)))
     assert len(accepted) == 51
     text = "".join(f"{d} {m} {r}\n" for d, m, r in accepted)
     assert hashlib.md5(text.encode()).hexdigest() == "ddbde5b91da45af7c1fb755e6837beb5"
     # two of them are lifts of a SW corner directly followed by an ES corner
-    lift = RectMove("lift", 1, 1, 2, 2, pipe=3)
+    lift = "RectMove(kind='lift', r1=1, c1=1, r2=2, c2=2, pipe=3)"
     assert ("..RH/RSVR/VNCC/VRCC", lift, "RSRH/VVVR/VNCC/VRCC") in accepted
     assert ("...R/RSRC/VNCC/VRCC", lift, "RS.R/VVRC/VNCC/VRCC") in accepted
     D = diagram_from_text("4\n..RH\nRSVR\nVNCC\nVRCC\n")
     flat = D.flat()
     lifted = diagram_from_text("4\nRSRH\nVVVR\nVNCC\nVRCC\n").flat()
     assert (lifted, (1, 1, 2, 2, 3)) in _lift_candidates(flat, 4, _trace(flat, 4)[1])
-
-
-def test_rect_move_fields():
-    assert RectMove._fields == ("kind", "r1", "c1", "r2", "c2", "pipe")
-    move = RectMove(kind="lift", r1=1, c1=1, r2=2, c2=2, pipe=2)
-    assert move == RectMove("lift", 1, 1, 2, 2, pipe=2)
-    assert repr(move) == "RectMove(kind='lift', r1=1, c1=1, r2=2, c2=2, pipe=2)"
