@@ -276,18 +276,11 @@ def is_cancellation_free(w: Permutation) -> bool:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Worker count: ``jobs``, else ``QBPD_JOBS``, else the CPU count."""
-    name, given = "jobs", jobs
+    """Worker count: ``jobs``, else the CPU count."""
     if jobs is None:
-        name, given = "QBPD_JOBS", os.environ.get("QBPD_JOBS")
-        if not given:
-            return os.cpu_count() or 1
-        try:
-            jobs = int(given)
-        except ValueError:
-            jobs = 0
+        return os.cpu_count() or 1
     if jobs < 1:
-        raise OutOfRange(f"{name} must be a positive integer, got {given!r}")
+        raise OutOfRange(f"jobs must be a positive integer, got {jobs!r}")
     return jobs
 
 
@@ -296,7 +289,9 @@ def stats_for_group(n: int, jobs: int | None = None, force: bool = False):
 
     Workers take one permutation at a time, longest first: the cost of a
     row grows steeply with its length, so the heaviest rows start early
-    and the light ones fill in around them.
+    and the light ones fill in around them.  Workers ignore SIGINT, so an
+    interrupt reaches only this process, and leaving the pool's block
+    terminates them.
     """
     if n > 6 and not force:
         raise SizeLimit("sweeps above S_6 must be forced explicitly")
@@ -305,9 +300,13 @@ def stats_for_group(n: int, jobs: int | None = None, force: bool = False):
     if jobs == 1 or len(order) < 4:
         rows = list(map(cancellation_stats, order))
     else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(cancellation_stats, order))
+        import multiprocessing
+        import signal
+
+        with multiprocessing.Pool(
+            jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)
+        ) as pool:
+            rows = pool.map(cancellation_stats, order, chunksize=1)
     return sorted(rows, key=lambda s: s.perm.images)
 
 

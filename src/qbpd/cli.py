@@ -4,7 +4,8 @@ Verbs: ``enum`` (diagram enumeration), ``poly`` (the polynomial by any of
 the three routes), ``stats`` (cancellation statistics and sweeps),
 ``verify`` (invariant suites) and ``render`` (ASCII/SVG drawings).
 
-Exit codes: 0 success, 1 a verification failed, 2 usage or parse error.
+Exit codes: 0 success, 1 a verification failed, 2 usage or parse error,
+130 interrupted (Ctrl-C), with ``interrupted`` as the one stderr line.
 A reader that closes stdout early ends the command quietly with 0, and
 any other failure to write stdout exits 2.  Each verb, ``poly`` mode and
 ``verify`` check imports only the modules it runs, when it runs.
@@ -22,6 +23,7 @@ from .perm import Permutation, embed, enumerate_symmetric_group, parse_permutati
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+INTERRUPTED = 130
 
 
 def _perm(text: str) -> Permutation:
@@ -289,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbpd",
         description="Enumerate quantum bumpless pipe dreams and their polynomials.",
     )
-    ap.add_argument("--jobs", type=int, default=None, help="worker processes")
+    ap.add_argument(
+        "--jobs", type=int, default=None, help="worker processes for stats --n sweeps"
+    )
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("enum", help="enumerate the diagrams of a permutation")
@@ -350,6 +354,9 @@ def main(argv=None) -> int:
     except (OutOfRange, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return INTERRUPTED
     except OSError as exc:
         # every file a verb opens has its own handler, so this is stdout's;
         # the flush at exit goes to devnull

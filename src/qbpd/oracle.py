@@ -1,6 +1,8 @@
 """Algebraic computation of (quantum) (double) Schubert polynomials.
 
-Two independent routes are provided for the quantum double family:
+Two independent routes are provided for the quantum double family, each
+with one memo for the life of the process, keyed by one-line notation
+trimmed of trailing fixed points so that embedded copies share entries:
 
 * the defining formula: the top polynomial for the longest permutation is
   a product of quantum elementary polynomials E_k^k (coefficients of the
@@ -11,12 +13,13 @@ Two independent routes are provided for the quantum double family:
   and by the Leibniz rule d_j(f g) = d_j(f) g for g free of y_j and
   y_{j+1}, each d_j multiplies and divides only the blocks holding one of
   them; the blocks are multiplied once, at the end.  The chain runs in
-  S_m, m the last point w moves, and its result is embedded into the
+  S_m, m the last point w moves, and its blocks are embedded into the
   ambient size of w (the family is stable), as the transition route does;
 * the transition recursion, which rewrites the polynomial of w in terms of
   polynomials of permutations that are smaller in the termination order
   (largest moved point, then position of its preimage).
 
+The classical double Schubert polynomials are the quantum ones at q = 0.
 A Monk's-rule residual checker evaluates left minus right hand side of the
 quantum double Monk rule with every Schubert polynomial produced by the
 defining route.
@@ -24,7 +27,7 @@ defining route.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 from typing import Sequence
 
@@ -98,47 +101,27 @@ def _quantum_top(n: int) -> tuple[tuple[frozenset, Poly], ...]:
     )
 
 
-def _classical_top(n: int) -> tuple[tuple[frozenset, Poly], ...]:
-    """The product of (x_i - y_j) over i + j <= n, one block per j."""
-    return tuple(
-        (
-            frozenset({j}),
-            _product([Poly.x_minus_y(i, j, n) for i in range(1, n - j + 1)], n),
-        )
-        for j in range(1, n)
-    )
-
-
-# Caches for the divided-difference chains, keyed by one-line notation.
-# The chain runs down the left weak order: if value j appears before value
-# j+1 in w, then R(w) = d_j(R(s_j w)); R(w0) is the top polynomial.  Each
-# entry is a tuple of blocks (y indices, factor) whose product is R(w), the
-# y indices of the blocks being disjoint; blocks are shared between entries.
-_quantum_chain: dict[tuple[int, ...], tuple] = {}
-_classical_chain: dict[tuple[int, ...], tuple] = {}
-
-
-def _chain(images: tuple[int, ...], cache: dict, top) -> tuple:
-    cached = cache.get(images)
-    if cached is not None:
-        return cached
+# The chain runs down the left weak order, keyed by one-line notation: if
+# value j appears before value j+1 in w, then R(w) = d_j(R(s_j w)); R(w0)
+# is the top polynomial.  Each entry is a tuple of blocks (y indices,
+# factor) whose product is R(w), the y indices of the blocks being
+# disjoint; blocks are shared between entries.
+@lru_cache(maxsize=None)
+def _chain(images: tuple[int, ...]) -> tuple:
     n = len(images)
     if images == tuple(range(n, 0, -1)):
-        blocks = top(n)
-    else:
-        j = next(v for v in range(1, n) if images.index(v) < images.index(v + 1))
-        lifted = tuple(v + 1 if v == j else v - 1 if v == j + 1 else v for v in images)
-        # d_j(f g) = d_j(f) g when g has neither y_j nor y_{j+1}, so d_j
-        # acts on the product of the blocks that hold one of them.
-        pair = {j, j + 1}
-        touched, kept = [], []
-        for block in _chain(lifted, cache, top):
-            (touched if block[0] & pair else kept).append(block)
-        ys = frozenset().union(*(b[0] for b in touched))
-        merged = _product((p for _, p in touched), n).divided_difference_y(j)
-        blocks = (*kept, (ys, merged))
-    cache[images] = blocks
-    return blocks
+        return _quantum_top(n)
+    j = next(v for v in range(1, n) if images.index(v) < images.index(v + 1))
+    lifted = tuple(v + 1 if v == j else v - 1 if v == j + 1 else v for v in images)
+    # d_j(f g) = d_j(f) g when g has neither y_j nor y_{j+1}, so d_j
+    # acts on the product of the blocks that hold one of them.
+    pair = {j, j + 1}
+    touched, kept = [], []
+    for block in _chain(lifted):
+        (touched if block[0] & pair else kept).append(block)
+    ys = frozenset().union(*(b[0] for b in touched))
+    merged = _product((p for _, p in touched), n).divided_difference_y(j)
+    return (*kept, (ys, merged))
 
 
 def _product(polys, n: int) -> Poly:
@@ -147,23 +130,18 @@ def _product(polys, n: int) -> Poly:
     return reduce(mul, polys) if polys else Poly.one(n)
 
 
-def _signed_chain(w: Permutation, cache: dict, top) -> Poly:
-    """The chain of w in S_m, m its last moved point, embedded into S_n."""
+def quantum_double_schubert_defining(w: Permutation) -> Poly:
+    """Quantum double Schubert polynomial of w via the defining formula."""
     images = w.trimmed_images()
     m = len(images)
     # the blocks are smaller than their product, so they are embedded first
-    poly = _product((p.embed(w.n) for _, p in _chain(images, cache, top)), w.n)
+    poly = _product((p.embed(w.n) for _, p in _chain(images)), w.n)
     return poly if (m * (m - 1) // 2 - length(w)) % 2 == 0 else -poly
-
-
-def quantum_double_schubert_defining(w: Permutation) -> Poly:
-    """Quantum double Schubert polynomial of w via the defining formula."""
-    return _signed_chain(w, _quantum_chain, _quantum_top)
 
 
 def double_schubert_defining(w: Permutation) -> Poly:
     """Classical double Schubert polynomial of w (the q = 0 specialization)."""
-    return _signed_chain(w, _classical_chain, _classical_top)
+    return quantum_double_schubert_defining(w).specialize(zero_q=True)
 
 
 def divided_difference_chain(f: Poly, word: Sequence[int]) -> Poly:
@@ -223,9 +201,6 @@ def monk_residual(k: int, w: Permutation) -> Poly:
     return lhs - rhs
 
 
-_transition_cache: dict[tuple[int, ...], Poly] = {}
-
-
 def quantum_double_schubert_transition(w: Permutation) -> Poly:
     """Quantum double Schubert polynomial of w via the transition recursion.
 
@@ -236,20 +211,13 @@ def quantum_double_schubert_transition(w: Permutation) -> Poly:
     return _transition_rec(w.trimmed_images()).embed(w.n)
 
 
+@lru_cache(maxsize=None)
 def _transition_rec(images: tuple[int, ...]) -> Poly:
-    cached = _transition_cache.get(images)
-    if cached is not None:
-        return cached
     m = len(images)
     pi = make_permutation(images)
     if pi.is_identity():
-        poly = Poly.one(m)
-    else:
-        poly = transition_rhs(
-            pi, lambda p: _transition_rec(p.trimmed_images()).embed(m)
-        )
-    _transition_cache[images] = poly
-    return poly
+        return Poly.one(m)
+    return transition_rhs(pi, lambda p: _transition_rec(p.trimmed_images()).embed(m))
 
 
 def transition_rhs(pi: Permutation, T) -> Poly:

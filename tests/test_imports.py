@@ -42,7 +42,7 @@ def loaded_after(statement: str, prefixes: tuple[str, ...]) -> list[str]:
 
 
 def test_import_cli_loads_no_polynomial_code():
-    out = loaded_after("import qbpd.cli", ("qbpd", "concurrent"))
+    out = loaded_after("import qbpd.cli", ("qbpd", "concurrent", "multiprocessing"))
     assert out == ["qbpd", "qbpd.cli", "qbpd.errors", "qbpd.perm"]
 
 
@@ -70,7 +70,8 @@ def test_poly_loads_only_its_route(mode, loaded):
 )
 def test_stats_loads_no_pool_or_oracle(argv):
     statement = f"from qbpd.cli import main; main({argv + ['--out', os.devnull]!r})"
-    assert loaded_after(statement, ("concurrent", "qbpd.oracle")) == []
+    pool = ("concurrent", "multiprocessing")
+    assert loaded_after(statement, (*pool, "qbpd.oracle")) == []
 
 
 def test_import_analysis_loads_no_oracle():

@@ -189,21 +189,17 @@ def expanded_classical_top(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_top_blocks_split_the_expanded_top(n):
-    from qbpd.oracle import _classical_top, _quantum_top
+    from qbpd.oracle import _quantum_top
 
-    for top, expanded in (
-        (_quantum_top, expanded_quantum_top),
-        (_classical_top, expanded_classical_top),
-    ):
-        blocks = top(n)
-        product = Poly.one(n)
-        for ys, poly in blocks:
-            for m in poly.terms():
-                assert {j for j, e in enumerate(m.yexp, 1) if e} <= ys
-            product = product * poly
-        seen = [j for ys, _ in blocks for j in ys]
-        assert len(seen) == len(set(seen))
-        assert product == expanded(n)
+    blocks = _quantum_top(n)
+    product = Poly.one(n)
+    for ys, poly in blocks:
+        for m in poly.terms():
+            assert {j for j, e in enumerate(m.yexp, 1) if e} <= ys
+        product = product * poly
+    seen = [j for ys, _ in blocks for j in ys]
+    assert len(seen) == len(set(seen))
+    assert product == expanded_quantum_top(n)
 
 
 def test_defining_equals_chain_on_expanded_top():
@@ -276,6 +272,22 @@ def test_defining_of_a_trimmed_row_equals_the_full_chain():
             if (n * (n - 1) // 2 - length(w)) % 2:
                 expect = -expect
             assert route(w) == expect, w.to_text()
+
+
+@pytest.mark.parametrize("row", ["4213", "2431", "3214", "53142", "25413", "21435"])
+def test_embedded_copies_share_memo_entries(row):
+    from qbpd.oracle import _chain, _transition_rec
+    from qbpd.perm import embed, parse_permutation
+
+    w = parse_permutation(row)
+    for route, memo in (
+        (quantum_double_schubert_transition, _transition_rec),
+        (quantum_double_schubert_defining, _chain),
+    ):
+        small = route(w)
+        misses = memo.cache_info().misses
+        assert route(embed(w, w.n + 2)) == small.embed(w.n + 2)
+        assert memo.cache_info().misses == misses, route.__name__
 
 
 def test_three_routes_agree_on_an_s7_row():
