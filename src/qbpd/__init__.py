@@ -26,7 +26,7 @@ _NAMES = {
     "moves": "enumerate_qbpds enumerate_unpaired",
     "oracle": """divided_difference_chain double_schubert_defining
         monk_residual q_interval quantum_double_schubert_defining
-        quantum_double_schubert_transition quantum_e""",
+        quantum_double_schubert_transition""",
     "perm": """Permutation TransitionData embed enumerate_symmetric_group
         is_bruhat_cover is_quantum_lower length make_permutation
         parse_permutation reduced_word right_multiply_transposition

@@ -126,26 +126,23 @@ def is_classical_bpd(D: Diagram) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _run_terms(n: int, c: int, r0: int, r1: int):
-    """(packed terms, G, F) of the blank run r0..r1 of column c over all pairings.
+def _run_terms(n: int, c: int, r0: int, r1: int) -> dict:
+    """Packed terms of the blank run r0..r1 of column c over all its pairings.
 
     The continuant R_k = (x_{r_k} - y_c) R_{k-1} + q_{r_{k-1}} R_{k-2}:
     the run's last cell is either a lone binomial or the lower half of a
-    domino weighted by q of its upper row.  Its scalar forms count the
-    run's expanded terms, G_k = 2 G_{k-1} + G_{k-2}, and pairings,
-    F_k = F_{k-1} + F_{k-2}.
+    domino weighted by q of its upper row.  Its terms and pairings are
+    counted off the keys of the column weight, as G and F.
     """
     layout = _narrow(n)
     prev: dict = {}
     cur = {0: 1}
-    g0, g, f0, f = 0, 1, 0, 1
     for r in range(r0, r1 + 1):
         nxt = _mac({}, cur, ((layout.x[r], 1), (layout.y[c], -1)))
         if prev:  # a domino needs the cell above it in the run
             _mac(nxt, prev, ((layout.q[r - 1], 1),))
         prev, cur = cur, nxt
-        g0, g, f0, f = g, 2 * g + g0, f, f + f0
-    return cur, g, f
+    return cur
 
 
 @lru_cache(maxsize=None)
@@ -154,17 +151,18 @@ def _column_weight(n: int, c: int, tiles: bytes):
 
     An upward run contributes q of every row it enters from the south:
     -q for its SW corner and vertical tiles, +q for its crossings.  Each
-    maximal blank run contributes its continuant, G its expanded terms and
-    F its pairings.  A weight depends on n, c and the filling alone, so
-    both caches serve every w of the process; callers only read the parts.
+    maximal blank run contributes its continuant.  A pairing is fixed by
+    its domino q-part, and a term within a pairing by its x exponents, so
+    no two expanded terms of the filling share a key: G, the number of
+    expanded terms, is the number of keys, and F, the number of pairings,
+    the number of q-parts.  A weight depends on n, c and the filling alone,
+    so both caches serve every w of the process; callers only read the
+    parts.
     """
     layout = _narrow(n)
-    terms, f, g = {0: 1}, 1, 1
+    terms = {0: 1}
     for _, top, bottom in _blank_runs(tiles, 1):
-        factor, rg, rf = _run_terms(n, c, top, bottom)
-        terms = _mac({}, factor, terms.items())
-        f *= rf
-        g *= rg
+        terms = _mac({}, _run_terms(n, c, top, bottom), terms.items())
     key, sign, up = 0, 1, False
     for r, t in enumerate(tiles):
         if t == _SW:
@@ -179,7 +177,7 @@ def _column_weight(n: int, c: int, tiles: bytes):
     for k, v in terms.items():
         k += key
         parts.setdefault(k & layout.qmask, []).append((k, v * sign))
-    return parts, g, f
+    return parts, len(terms), len(parts)
 
 
 def _slices(plan: dict):

@@ -26,14 +26,6 @@ CHECK_FAILED = 1
 INTERRUPTED = 130
 
 
-def _perm(text: str) -> Permutation:
-    try:
-        return parse_permutation(text)
-    except NotABijection as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-
-
 def _size_guard(args, n: int):
     """n above 7 must be forced with ``--force``, like large sweeps."""
     if n > 7 and not args.force:
@@ -41,7 +33,7 @@ def _size_guard(args, n: int):
 
 
 def _sized_perm(args, text: str) -> Permutation:
-    w = _perm(text)
+    w = parse_permutation(text)
     _size_guard(args, w.n)
     return w
 
@@ -351,7 +343,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (OutOfRange, SizeLimit) as exc:
+    except (NotABijection, OutOfRange, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except KeyboardInterrupt:

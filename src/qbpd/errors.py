@@ -17,10 +17,6 @@ class AmbientMismatch(ValueError):
     """Two polynomials with different ambient sizes were combined."""
 
 
-class SizeMismatch(ValueError):
-    """A sequence argument has the wrong length."""
-
-
 class InvalidDiagram(ValueError):
     """A diagram failed validation; carries the violation list."""
 

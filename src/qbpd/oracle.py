@@ -5,16 +5,17 @@ with one memo for the life of the process, keyed by one-line notation
 trimmed of trailing fixed points so that embedded copies share entries:
 
 * the defining formula: the top polynomial for the longest permutation is
-  a product of quantum elementary polynomials E_k^k (coefficients of the
-  characteristic polynomial of a tridiagonal matrix), and every other
-  polynomial is a signed chain of divided differences in the y variables.
-  The top is never expanded.  E_k^k(x_1 - y_{n-k}, ..., x_k - y_{n-k})
-  holds y_{n-k} alone, so the chain keeps blocks with disjoint y indices,
-  and by the Leibniz rule d_j(f g) = d_j(f) g for g free of y_j and
-  y_{j+1}, each d_j multiplies and divides only the blocks holding one of
-  them; the blocks are multiplied once, at the end.  The chain runs in
-  S_m, m the last point w moves, and its blocks are embedded into the
-  ambient size of w (the family is stable), as the transition route does;
+  a product of quantum elementary polynomials E_k^k, each the determinant
+  of a tridiagonal matrix G_k computed by its three-term continuant, and
+  every other polynomial is a signed chain of divided differences in the
+  y variables.  The top is never expanded.  Its factor
+  E_k^k(x_1 - y_{n-k}, ..., x_k - y_{n-k}) holds y_{n-k} alone, so the
+  chain keeps blocks with disjoint y indices, and by the Leibniz rule
+  d_j(f g) = d_j(f) g for g free of y_j and y_{j+1}, each d_j multiplies
+  and divides only the blocks holding one of them; the blocks are
+  multiplied once, at the end.  The chain runs in S_m, m the last point
+  w moves, and its blocks are embedded into the ambient size of w (the
+  family is stable), as the transition route does;
 * the transition recursion, which rewrites the polynomial of w in terms of
   polynomials of permutations that are smaller in the termination order
   (largest moved point, then position of its preimage).
@@ -31,7 +32,7 @@ from functools import lru_cache, reduce
 from operator import mul
 from typing import Sequence
 
-from .errors import OutOfRange, SizeMismatch
+from .errors import OutOfRange
 from .perm import (
     Permutation,
     embed,
@@ -45,7 +46,6 @@ from .perm import (
 from .polyring import Poly
 
 __all__ = [
-    "quantum_e",
     "quantum_double_schubert_defining",
     "double_schubert_defining",
     "q_interval",
@@ -56,49 +56,22 @@ __all__ = [
 ]
 
 
-def quantum_e(i: int, k: int, z: Sequence[Poly]) -> Poly:
-    """Coefficient of lambda^i in det(1 + lambda*G_k).
-
-    G_k is tridiagonal with diagonal z_1..z_k, superdiagonal q_1..q_{k-1}
-    and subdiagonal -1, so the leading minors satisfy the continuant
-    recurrence D_j = (1 + lambda z_j) D_{j-1} + lambda^2 q_{j-1} D_{j-2}.
-    The ring is that of z, so k = 0 (no diagonal, hence no ring) raises
-    :class:`OutOfRange`.
-    """
-    if len(z) != k:
-        raise SizeMismatch(f"expected {k} diagonal entries, got {len(z)}")
-    if k < 1:
-        raise OutOfRange("k = 0 gives no diagonal entry to fix the ring")
-    if not 0 <= i <= k:
-        raise OutOfRange(f"coefficient index {i} not in 0..{k}")
-    n = z[0].n
-    prev = [Poly.one(n)]  # D_0
-    cur = [Poly.one(n), z[0]]  # D_1
-    for j in range(2, k + 1):
-        nxt = [Poly.zero(n) for _ in range(j + 1)]
-        for d, coeff in enumerate(cur):
-            nxt[d] = nxt[d] + coeff
-            nxt[d + 1] = nxt[d + 1] + z[j - 1] * coeff
-        qj = Poly.q(j - 1, n)
-        for d, coeff in enumerate(prev):
-            nxt[d + 2] = nxt[d + 2] + qj * coeff
-        prev, cur = cur, nxt
-    return cur[i]
-
-
 def _quantum_top(n: int) -> tuple[tuple[frozenset, Poly], ...]:
     """The factors E_k^k(x_1 - y_{n-k}, ..., x_k - y_{n-k}), k = 1..n-1.
 
-    Factor k holds y_{n-k} alone, so each is returned as a block
-    ``({n - k}, poly)``.
+    E_k^k is det G_k, G_k tridiagonal with diagonal z_i = x_i - y_{n-k},
+    superdiagonal q_1..q_{k-1} and subdiagonal -1, so its leading minors
+    satisfy the continuant D_j = z_j D_{j-1} + q_{j-1} D_{j-2}.  Factor k
+    holds y_{n-k} alone, so each is returned as a block ``({n - k}, poly)``.
     """
-    return tuple(
-        (
-            frozenset({n - k}),
-            quantum_e(k, k, [Poly.x_minus_y(i, n - k, n) for i in range(1, k + 1)]),
-        )
-        for k in range(1, n)
-    )
+    blocks = []
+    for k in range(1, n):
+        z = [Poly.x_minus_y(i, n - k, n) for i in range(1, k + 1)]
+        prev, cur = Poly.one(n), z[0]  # D_0, D_1
+        for j in range(2, k + 1):
+            prev, cur = cur, z[j - 1] * cur + Poly.q(j - 1, n) * prev
+        blocks.append((frozenset({n - k}), cur))
+    return tuple(blocks)
 
 
 # The chain runs down the left weak order, keyed by one-line notation: if

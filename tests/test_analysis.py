@@ -187,6 +187,37 @@ def test_weight_sum_matches_per_diagram_weights_s5():
         assert s.qbpd_count == len(pool)
 
 
+def test_column_weight_counts_are_run_continuants_s7():
+    # G counts a filling's expanded terms and F its pairings; both are
+    # read off the keys of its weight, so two terms sharing a key would
+    # merge and fall short of the run continuants below
+    from qbpd.analysis import _column_weight
+    from qbpd.columns import column_graph
+    from qbpd.diagram import _blank_runs
+
+    G, F = {-1: 0, 0: 1}, {-1: 0, 0: 1}  # by run length
+    for L in range(1, 8):
+        G[L] = 2 * G[L - 1] + G[L - 2]
+        F[L] = F[L - 1] + F[L - 2]
+    fillings = {
+        (n, n - 1 - depth, tiles)
+        for n in range(1, 8)
+        for w in enumerate_symmetric_group(n)
+        for depth, layer in enumerate(column_graph(w))
+        for moves in layer.values()
+        for _, tiles in moves
+    }
+    assert len(fillings) == 2703
+    for n, c, tiles in fillings:
+        g = f = 1
+        for _, top, bottom in _blank_runs(tiles, 1):
+            g *= G[bottom - top + 1]
+            f *= F[bottom - top + 1]
+        parts, tg, tf = _column_weight(n, c, tiles)
+        assert (tg, tf) == (g, f), (n, c, tiles)
+        assert sum(map(len, parts.values())) == g
+
+
 def test_packed_field_width_bound_w0_s4():
     # every exponent of one diagram's weight is at most n, which fits a field
     n = 4

@@ -6,6 +6,7 @@ import pytest
 
 from qbpd.cli import main
 from qbpd.perm import enumerate_symmetric_group
+from qbpd.polyring import Poly
 
 
 def run(capsys, *argv):
@@ -418,6 +419,78 @@ def test_verify_closure_reports_a_missing_tiling(capsys, monkeypatch):
     first, *_, last = out.splitlines()
     assert first.endswith(": move closure differs from column enumeration")
     assert last == "closure n=3: 1 checks, 1 failures"
+
+
+def with_wrong_term(route, row):
+    """``route`` with one extra term x_1 on the permutation ``row`` alone."""
+
+    def wrong(w, *args):
+        p = route(w, *args)
+        return p + Poly.x(1, w.n) if w.to_text() == row else p
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "check, route, row, failing",
+    [
+        (
+            "theorem",
+            "oracle.quantum_double_schubert_defining",
+            "231",
+            "231: weight sum differs from defining formula",
+        ),
+        (
+            "theorem",
+            "oracle.quantum_double_schubert_transition",
+            "231",
+            "231: weight sum differs from transition recursion",
+        ),
+        (
+            "transition",
+            "oracle.transition_rhs",
+            "231",
+            "231: nonzero transition residual",
+        ),
+        # Monk's rule evaluates every polynomial in S_{n+1}
+        (
+            "monk",
+            "oracle.quantum_double_schubert_defining",
+            "2314",
+            "231: nonzero Monk residual",
+        ),
+        (
+            "stability",
+            "analysis.qbpd_polynomial",
+            "231",
+            "231: weight sum not stable under embedding",
+        ),
+    ],
+    ids=["theorem-defining", "theorem-transition", "transition", "monk", "stability"],
+)
+def test_verify_reports_a_wrong_term(capsys, monkeypatch, check, route, row, failing):
+    import importlib
+
+    module, name = route.split(".")
+    mod = importlib.import_module(f"qbpd.{module}")
+    monkeypatch.setattr(mod, name, with_wrong_term(getattr(mod, name), row))
+    code, out, _ = run(capsys, "verify", check, "--n", "3")
+    assert code == 1
+    *fails, last = out.splitlines()
+    assert fails and all(line.startswith("FAIL ") for line in fails)
+    assert any(line.endswith(failing) for line in fails)
+    assert last.endswith(f" checks, {len(fails)} failures")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enum"], ["poly"], ["stats", "--perm"], ["render"]],
+    ids=["enum", "poly", "stats", "render"],
+)
+def test_bad_permutation_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "4223")
+    assert code == 2 and not out
+    assert err == "error: cannot parse permutation '4223'\n"
 
 
 def test_render_perm_size_guard(capsys):

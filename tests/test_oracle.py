@@ -1,6 +1,6 @@
 import pytest
 
-from qbpd.errors import OutOfRange, SizeMismatch
+from qbpd.errors import OutOfRange
 from qbpd.oracle import (
     divided_difference_chain,
     double_schubert_defining,
@@ -8,7 +8,6 @@ from qbpd.oracle import (
     q_interval,
     quantum_double_schubert_defining,
     quantum_double_schubert_transition,
-    quantum_e,
 )
 from qbpd.perm import enumerate_symmetric_group, length, make_permutation
 from qbpd.polyring import Poly
@@ -26,23 +25,6 @@ def explicit_sum_4213():
         + q1 * (-q1)
         + (-q1) * q2
     )
-
-
-def test_quantum_e_small():
-    n = 3
-    z = [Poly.x(1, n), Poly.x(2, n)]
-    assert quantum_e(0, 2, z) == Poly.one(n)
-    assert quantum_e(1, 2, z) == Poly.x(1, n) + Poly.x(2, n)
-    assert quantum_e(2, 2, z) == Poly.x(1, n) * Poly.x(2, n) + Poly.q(1, n)
-    with pytest.raises(SizeMismatch):
-        quantum_e(1, 3, z)
-    with pytest.raises(OutOfRange):
-        quantum_e(3, 2, z)
-
-
-def test_quantum_e_empty_diagonal_has_no_ring():
-    with pytest.raises(OutOfRange):
-        quantum_e(0, 0, [])
 
 
 def test_defining_small():
@@ -171,11 +153,41 @@ def test_word_independence():
             )
 
 
+def top_factor(k, j, n):
+    """E_k^k(x_1 - y_j, ..., x_k - y_j) from its definition.
+
+    E_k^k is the coefficient of lambda^k in det(1 + lambda*G_k), that is
+    det G_k, for G_k tridiagonal with diagonal x_i - y_j, superdiagonal
+    q_1..q_{k-1} and subdiagonal -1; here by the Leibniz expansion.
+    """
+    from itertools import permutations
+
+    def entry(r, c):
+        if r == c:
+            return Poly.x_minus_y(r + 1, j, n)
+        if c == r + 1:
+            return Poly.q(r + 1, n)
+        if c == r - 1:
+            return Poly.const(-1, n)
+        return None
+
+    det = Poly.zero(n)
+    for sigma in permutations(range(k)):
+        factors = [entry(r, c) for r, c in enumerate(sigma)]
+        if None in factors:
+            continue
+        inversions = sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1 :])
+        term = Poly.const((-1) ** inversions, n)
+        for f in factors:
+            term = term * f
+        det = det + term
+    return det
+
+
 def expanded_quantum_top(n):
     acc = Poly.one(n)
     for k in range(1, n):
-        z = [Poly.x_minus_y(i, n - k, n) for i in range(1, k + 1)]
-        acc = acc * quantum_e(k, k, z)
+        acc = acc * top_factor(k, n - k, n)
     return acc
 
 
@@ -187,19 +199,23 @@ def expanded_classical_top(n):
     return acc
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_top_factor_small():
+    n = 3
+    x1, x2 = Poly.x_minus_y(1, 1, n), Poly.x_minus_y(2, 1, n)
+    assert top_factor(1, 1, n) == x1
+    assert top_factor(2, 1, n) == x1 * x2 + Poly.q(1, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_top_blocks_split_the_expanded_top(n):
     from qbpd.oracle import _quantum_top
 
     blocks = _quantum_top(n)
-    product = Poly.one(n)
-    for ys, poly in blocks:
+    assert [ys for ys, _ in blocks] == [frozenset({n - k}) for k in range(1, n)]
+    for k, (ys, poly) in enumerate(blocks, 1):
         for m in poly.terms():
             assert {j for j, e in enumerate(m.yexp, 1) if e} <= ys
-        product = product * poly
-    seen = [j for ys, _ in blocks for j in ys]
-    assert len(seen) == len(set(seen))
-    assert product == expanded_quantum_top(n)
+        assert poly == top_factor(k, n - k, n), k
 
 
 def test_defining_equals_chain_on_expanded_top():
