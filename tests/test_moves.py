@@ -172,3 +172,20 @@ def test_public_moves_pinned_s4():
     flat = D.flat()
     lifted = diagram_from_text("4\nRSRH\nVVVR\nVNCC\nVRCC\n").flat()
     assert (lifted, (1, 1, 2, 2, 3)) in _lift_candidates(flat, 4, _trace(flat, 4)[1])
+
+
+def test_candidate_stream_pinned_s5():
+    # every candidate of both generators, valid or not, in yield order, on
+    # every unpaired diagram of S_1..S_5
+    lines = []
+    for n in range(1, 6):
+        for w in enumerate_symmetric_group(n):
+            for D in sorted(enumerate_unpaired(w), key=canonical_key):
+                flat = D.flat()
+                traces = _trace(flat, n)[1]
+                for candidates in (_droop_candidates, _lift_candidates):
+                    for new, move in candidates(flat, n, traces):
+                        lines.append(f"{bytes(new).hex()} {move}\n")
+    assert len(lines) == 1583
+    text = "".join(lines)
+    assert hashlib.md5(text.encode()).hexdigest() == "d98867ed23befe2edf7fdf12966dd5d7"
