@@ -100,8 +100,8 @@ class Diagram(_Record):
     def tile_at(self, r: int, c: int) -> TileKind:
         return self.tiles[r - 1][c - 1]
 
-    def flat(self) -> list[int]:
-        return [int(t) for row in self.tiles for t in row]
+    def flat(self) -> bytes:
+        return bytes(chain.from_iterable(self.tiles))
 
     @classmethod
     def from_flat(cls, n: int, flat, dominoes=()) -> "Diagram":
@@ -177,7 +177,7 @@ def _trace(flat, n: int):
                 c, idx, entry = c + 1, idx + 1, W
         traces.append(steps)
         end_cols.append(end)
-    expected = bytes(flat).translate(_EXPECTED_USAGE)
+    expected = flat.translate(_EXPECTED_USAGE)
     if usage != expected:
         for idx, (u, x) in enumerate(zip(usage, expected)):
             if u != x:
@@ -384,7 +384,7 @@ def flat_text(n: int, diagrams) -> str:
 
 
 def diagram_to_text(D: Diagram) -> str:
-    return flat_text(D.n, [(bytes(D.flat()), sorted(D.dominoes))])
+    return flat_text(D.n, [(D.flat(), sorted(D.dominoes))])
 
 
 def diagram_from_text(text: str) -> Diagram:

@@ -1,21 +1,16 @@
 """Droop and lift moves and move-closure enumeration.
 
-A droop reroutes a pipe's ES corner to the opposite corner of a rectangle:
-the pipe turns south at the rectangle's northeast cell, runs down its east
-column, takes a WN corner at the southeast cell and runs west along the
-bottom row to rejoin its old exit.  A lift raises a westward run of a pipe
-along the bottom row, from a horizontal passage or SW corner at the east
-end to a horizontal passage or ES corner at the west end (two adjacent
-corners included), into an up-left-down detour: up the rectangle's east
-column, SW corner, west along the top row, ES corner, and back down the
-west column.
-
-Both moves are segment-level rewrites followed by full revalidation; a
-move is rejected when a rewritten cell would not be a legal tile (a second
-segment only ever forms the CROSS) or when the result fails validity or
-reducedness.  ``_droop_candidates`` and ``_lift_candidates`` are the one
-definition of the moves: they yield every rewrite of a grid together with
-its move, and the closure keeps the rewrites that trace as valid.
+Both moves are one rule: a stretch of one pipe's trace is rerouted the
+other way round a rectangle.  A droop takes a stretch that runs west along
+the top row to an ES corner and down the west column, and sends it down
+the east column and west along the bottom row.  A lift takes a westward
+run along the bottom row and sends it up the east column, west along the
+top row and back down the west column.  The rule adds and drops segments,
+each tile being the set of segments read off ``diagram.ROUTE``; a move is
+rejected when a rerouted cell is not a tile, or when the result fails
+validity or reducedness.  ``_droop_candidates`` and ``_lift_candidates``
+are the one definition of the moves: they yield every reroute of a grid
+with its move, and the closure keeps those that trace as valid.
 
 Closure from the Rothe diagram under both moves enumerates every unpaired
 diagram of the permutation, the paper's route; dominoes are paired
@@ -29,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import chain
 
-from .diagram import _B, _ES, _EW, _NE, _NS, _SW, _WN, _X, E, N, S, W
+from .diagram import _B, _ES, ROUTE, E, N, S, W
 from .diagram import Diagram, _pairings, _trace, rothe_diagram
 from .perm import Permutation
 
@@ -37,79 +32,47 @@ __all__ = ["enumerate_unpaired", "enumerate_qbpds"]
 
 
 # ---------------------------------------------------------------------------
-# rewrites on flat grids (0-based coordinates)
+# rerouting on tile bytes (0-based coordinates)
+
+# each tile's segments as bit sets of the sides they join (N=1, E=2, S=4, W=8)
+_SEGMENTS = [
+    tuple(sorted({1 << e | 1 << (x & 3) for e, x in enumerate(route) if x >= 0}))
+    for route in ROUTE
+]
+_TILES = {segments: tile for tile, segments in enumerate(_SEGMENTS)}
+# the tile with one segment more or less, indexed by tile and segment; a
+# segment more is None when the result is not a tile
+_ADD = [
+    [_TILES.get(tuple(sorted((*segments, s)))) for s in range(16)]
+    for segments in _SEGMENTS
+]
+_DROP = [
+    {s: _TILES[tuple(x for x in segments if x != s)] for s in segments}
+    for segments in _SEGMENTS
+]
 
 
-def _droop_rewrite(flat, n, r1, c1, r2, c2, ekind, xkind):
-    """Rewrite a droop; returns the new flat grid or None if illegal.
+def _reroute(flat, n, old, legs):
+    """The grid with the trace steps ``old`` rerouted, or None if illegal.
 
-    ``ekind`` is the pipe's tile at the entry cell (r1, c2): EW or WN;
-    ``xkind`` the tile at the exit cell (r2, c1): NS or WN.
+    The new route enters old's first cell through its entry side, goes
+    ``count`` cells towards each ``(side, count)`` of ``legs`` in turn and
+    leaves through old's exit side.
     """
-    if flat[r2 * n + c2] != _B:
-        return None
-    if ekind == _EW and flat[r1 * n + c2] != _EW:
-        return None  # horizontal strand of a CROSS cannot become a corner
-    if xkind == _NS and flat[r2 * n + c1] != _NS:
-        return None
-    for r in range(r1 + 1, r2):
-        if flat[r * n + c2] not in (_B, _EW):
-            return None
-    for c in range(c1 + 1, c2):
-        if flat[r2 * n + c] not in (_B, _NS):
-            return None
-    new = list(flat)
-    new[r1 * n + c2] = _ES if ekind == _EW else _NS
-    for r in range(r1 + 1, r2):
-        i = r * n + c2
-        new[i] = _NS if new[i] == _B else _X
-    new[r2 * n + c2] = _WN
-    for c in range(c1 + 1, c2):
-        i = r1 * n + c
-        new[i] = _B if new[i] == _EW else _NS
-        i = r2 * n + c
-        new[i] = _EW if new[i] == _B else _X
-    new[r1 * n + c1] = _B
-    for r in range(r1 + 1, r2):
-        i = r * n + c1
-        new[i] = _B if new[i] == _NS else _EW
-    new[r2 * n + c1] = _ES if xkind == _NS else _EW
-    return new
-
-
-def _lift_rewrite(flat, n, r1, c1, r2, c2, ekind, xkind):
-    """Rewrite a lift; returns the new flat grid or None if illegal.
-
-    ``ekind`` is the pipe's tile at the east end (r2, c2): EW or SW;
-    ``xkind`` the tile at the west end (r2, c1): EW or ES.
-    """
-    if flat[r1 * n + c2] != _B or flat[r1 * n + c1] != _B:
-        return None
-    if ekind == _EW and flat[r2 * n + c2] != _EW:
-        return None
-    if xkind == _EW and flat[r2 * n + c1] != _EW:
-        return None
-    for r in range(r1 + 1, r2):
-        if flat[r * n + c2] not in (_B, _EW) or flat[r * n + c1] not in (_B, _EW):
-            return None
-    for c in range(c1 + 1, c2):
-        if flat[r1 * n + c] not in (_B, _NS):
-            return None
-    new = list(flat)
-    new[r2 * n + c2] = _NE if ekind == _EW else _NS
-    new[r1 * n + c2] = _SW
-    new[r1 * n + c1] = _ES
-    for r in range(r1 + 1, r2):
-        for col in (c1, c2):
-            i = r * n + col
-            new[i] = _NS if new[i] == _B else _X
-    for c in range(c1 + 1, c2):
-        i = r1 * n + c
-        new[i] = _EW if new[i] == _B else _X
-        i = r2 * n + c
-        new[i] = _B if new[i] == _EW else _NS
-    new[r2 * n + c1] = _WN if xkind == _EW else _NS
-    return new
+    new = bytearray(flat)
+    for idx, entry, out in old:
+        new[idx] = _DROP[new[idx]][1 << entry | 1 << out]
+    idx, entry = old[0][0], old[0][1]
+    step = (-n, 1, n, -1)
+    for side, count in (*legs, (old[-1][2], 1)):
+        for _ in range(count):
+            tile = _ADD[new[idx]][1 << entry | 1 << side]
+            if tile is None:
+                return None
+            new[idx] = tile
+            idx += step[side]
+            entry = side ^ 2
+    return bytes(new)
 
 
 # ---------------------------------------------------------------------------
@@ -120,76 +83,61 @@ def _droop_candidates(flat, n, traces):
     """Yield ``(grid, move)`` for every droop of ``flat``, valid or not.
 
     ``move`` is the tuple ``(r1, c1, r2, c2, pipe)``: a 1-based rectangle
-    and the pipe's start row.  The grid is the rewrite; the caller checks
+    and the pipe's start row.  The grid is the reroute; the caller checks
     it by tracing.
     """
     for pipe, steps in enumerate(traces, 1):
         for t, (idx, entry, out) in enumerate(steps):
             if not (entry == E and out == S and flat[idx] == _ES):
                 continue
+            # the stretch starts on the westward run into the corner (at
+            # most back to a WN corner) and ends on the southward run out
+            # of it (at most on to a WN corner)
             r1, c1 = divmod(idx, n)
-            east = []
-            tt = t - 1
-            while tt >= 0:
-                idx2, e2, o2 = steps[tt]
-                if e2 == E and o2 == W:
-                    east.append((idx2 % n, _EW))
-                    tt -= 1
-                    continue
-                if e2 == N and o2 == W:
-                    east.append((idx2 % n, _WN))
-                break
-            if not east:
-                continue
-            south = []
-            tt = t + 1
-            while tt < len(steps):
-                idx2, e2, o2 = steps[tt]
-                if e2 == N and o2 == S:
-                    south.append((idx2 // n, _NS))
-                    tt += 1
-                    continue
-                if e2 == N and o2 == W:
-                    south.append((idx2 // n, _WN))
-                break
-            for c2, ekind in east:
-                for r2, xkind in south:
-                    new = _droop_rewrite(flat, n, r1, c1, r2, c2, ekind, xkind)
-                    if new is not None:
-                        yield new, (r1 + 1, c1 + 1, r2 + 1, c2 + 1, pipe)
+            for a in range(t - 1, -1, -1):
+                first, e1, _ = steps[a]
+                if e1 == S:
+                    break
+                c2 = first % n
+                for b in range(t + 1, len(steps)):
+                    last, _, o2 = steps[b]
+                    if o2 == E:
+                        break
+                    r2 = last // n
+                    if flat[r2 * n + c2] == _B:
+                        legs = ((S, r2 - r1), (W, c2 - c1))
+                        new = _reroute(flat, n, steps[a : b + 1], legs)
+                        if new is not None:
+                            yield new, (r1 + 1, c1 + 1, r2 + 1, c2 + 1, pipe)
+                    if o2 == W:
+                        break
+                if e1 == N:
+                    break
 
 
 def _lift_candidates(flat, n, traces):
     """Yield ``(grid, move)`` for every lift of ``flat``, as the droops do."""
     for pipe, steps in enumerate(traces, 1):
-        t = 0
-        m = len(steps)
-        while t < m:
-            idx, entry, out = steps[t]
-            t += 1
+        for a, (idx, entry, out) in enumerate(steps):
             if out != W or entry == N:
                 continue
-            # a westward run on row r2, east to west: a SW corner or a
-            # horizontal passage, then horizontal passages.  A SW corner
-            # directly followed by an ES corner is a run too (c1 = c2 - 1).
-            r2 = idx // n
-            east = [(idx % n, _SW if entry == S else _EW)]
-            while t < m and steps[t][1] == E and steps[t][2] == W:
-                east.append((steps[t][0] % n, _EW))
-                t += 1
-            west = [cell for cell in east if cell[1] == _EW]
-            if t < m and steps[t][1] == E and steps[t][2] == S:
-                west.append((steps[t][0] % n, _ES))
-            for c2, ekind in east:
-                for c1, xkind in west:
-                    if c1 >= c2:
-                        continue
-                    for r1 in range(r2):
-                        new = _lift_rewrite(
-                            flat, n, r1, c1, r2, c2, ekind, xkind
-                        )
+            # the stretch runs west along row r2 from a SW corner or a
+            # horizontal passage to a later horizontal passage or the ES
+            # corner that ends the run
+            r2, c2 = divmod(idx, n)
+            for b in range(a + 1, len(steps)):
+                last, _, o2 = steps[b]
+                if o2 == N:
+                    break
+                c1 = last % n
+                for r1 in range(r2):
+                    if flat[r1 * n + c2] == _B and flat[r1 * n + c1] == _B:
+                        legs = ((N, r2 - r1), (W, c2 - c1), (S, r2 - r1))
+                        new = _reroute(flat, n, steps[a : b + 1], legs)
                         if new is not None:
                             yield new, (r1 + 1, c1 + 1, r2 + 1, c2 + 1, pipe)
+                if o2 == S:
+                    break
 
 
 # ---------------------------------------------------------------------------
@@ -203,22 +151,21 @@ def _closure(w: Permutation) -> list[bytes]:
     target, traces0, violations = _trace(start, n)
     assert not violations, "Rothe diagram must be valid"
     frontier = deque([(start, traces0)])
-    tilings = [bytes(start)]
+    tilings = [start]
     seen = set(tilings)
     while frontier:
         flat, traces = frontier.popleft()
         for new, _ in chain(
             _droop_candidates(flat, n, traces), _lift_candidates(flat, n, traces)
         ):
-            key = bytes(new)
-            if key in seen:
+            if new in seen:
                 continue
-            seen.add(key)
+            seen.add(new)
             ends, ntraces, violations = _trace(new, n)
             if violations:
                 continue
             assert ends == target, "moves must preserve the permutation"
-            tilings.append(key)
+            tilings.append(new)
             frontier.append((new, ntraces))
     return tilings
 

@@ -562,13 +562,23 @@ def test_interrupted_sweep_ends_quietly(jobs):
         [sys.executable, "-m", "qbpd", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=src, PYTHONFAULTHANDLER="1"),
         start_new_session=True,
     )
     try:
         time.sleep(1)
         os.killpg(proc.pid, signal.SIGINT)
-        out, err = proc.communicate(timeout=30)
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            # faulthandler prints every thread's stack on SIGABRT
+            proc.send_signal(signal.SIGABRT)
+            try:
+                err = proc.communicate(timeout=10)[1]
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                err = proc.communicate()[1]
+            pytest.fail("no exit 30 s after SIGINT:\n" + err.decode(errors="replace"))
         assert proc.returncode == 130
         assert out == b"" and err == b"interrupted\n"
         with pytest.raises(ProcessLookupError):
@@ -579,3 +589,31 @@ def test_interrupted_sweep_ends_quietly(jobs):
         except ProcessLookupError:
             pass
         proc.wait()
+
+
+def test_interrupt_during_startup_ends_quietly():
+    # SIGINT lands while ``python -m qbpd`` is still importing the command
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qbpd
+
+    src = str(Path(qbpd.__file__).resolve().parent.parent)
+    child = (
+        "import os, runpy, signal, sys\n"
+        "class Interrupt:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'qbpd.perm':\n"
+        "            os.kill(os.getpid(), signal.SIGINT)\n"
+        "sys.meta_path.insert(0, Interrupt())\n"
+        "sys.argv = ['qbpd', 'enum', '4213', '--count']\n"
+        "runpy.run_module('qbpd', run_name='__main__')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 130
+    assert result.stdout == b"" and result.stderr == b"interrupted\n"

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from qbpd.analysis import bwt, weight_cells
 from qbpd.columns import column_enumerate
 from qbpd.diagram import (
     Diagram,
+    TileKind,
     _trace,
     canonical_key,
     diagram_from_text,
@@ -16,6 +18,8 @@ from qbpd.diagram import (
 )
 from qbpd.errors import SizeLimit
 from qbpd.moves import (
+    _ADD,
+    _DROP,
     _droop_candidates,
     _lift_candidates,
     enumerate_qbpds,
@@ -189,3 +193,27 @@ def test_candidate_stream_pinned_s5():
     assert len(lines) == 1583
     text = "".join(lines)
     assert hashlib.md5(text.encode()).hexdigest() == "d98867ed23befe2edf7fdf12966dd5d7"
+
+
+def test_segment_tables_follow_the_tile_rule():
+    # a segment joins two sides; a cell holds side-disjoint segments, at
+    # most two, and two only as the CROSS; a one-segment tile kind is
+    # named by the sides its segment joins
+    bit = {"N": 1, "E": 2, "S": 4, "W": 8}
+    segments = [bit[a] | bit[b] for a, b in combinations("NESW", 2)]
+    cross = {bit["E"] | bit["W"], bit["N"] | bit["S"]}
+    kinds = {frozenset(): TileKind.BLANK, frozenset(cross): TileKind.CROSS}
+    for kind in TileKind:
+        if len(kind.name) == 2:
+            kinds[frozenset({bit[kind.name[0]] | bit[kind.name[1]]})] = kind
+    assert len(kinds) == len(TileKind)
+    for held, kind in kinds.items():
+        for s in range(16):
+            more = held | {s}
+            legal = (
+                s in segments
+                and not any(s & h for h in held)
+                and (len(more) == 1 or more == cross)
+            )
+            assert _ADD[kind][s] == (kinds[more] if legal else None)
+        assert _DROP[kind] == {s: kinds[held - {s}] for s in held}
