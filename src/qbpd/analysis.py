@@ -147,7 +147,7 @@ def _run_terms(n: int, c: int, r0: int, r1: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _column_weight(n: int, c: int, tiles: bytes):
-    """({q-part: packed terms}, G, F) of one column filling over all its pairings.
+    """({q-part: packed terms}, G, F, odd) of one column filling over all its pairings.
 
     An upward run contributes q of every row it enters from the south:
     -q for its SW corner and vertical tiles, +q for its crossings.  Each
@@ -155,9 +155,9 @@ def _column_weight(n: int, c: int, tiles: bytes):
     its domino q-part, and a term within a pairing by its x exponents, so
     no two expanded terms of the filling share a key: G, the number of
     expanded terms, is the number of keys, and F, the number of pairings,
-    the number of q-parts.  A weight depends on n, c and the filling alone,
-    so both caches serve every w of the process; callers only read the
-    parts.
+    the number of q-parts.  ``odd`` is the parity of the filling's -q
+    factors.  A weight depends on n, c and the filling alone, so both
+    caches serve every w of the process; callers only read the parts.
     """
     layout = _narrow(n)
     terms = {0: 1}
@@ -177,22 +177,32 @@ def _column_weight(n: int, c: int, tiles: bytes):
     for k, v in terms.items():
         k += key
         parts.setdefault(k & layout.qmask, []).append((k, v * sign))
-    return parts, len(terms), len(parts)
+    return parts, len(terms), len(parts), sign < 0
+
+
+# parity sets as bits, even = 1 and odd = 2; an odd factor swaps them
+_FLIP = (0, 2, 1, 3)
+
+
+def _slice(pairs) -> dict:
+    """The exact q-slice summed from its (state polynomial, weight terms) pairs."""
+    acc: dict = {}
+    for poly, terms in pairs:
+        _mac(acc, poly, terms)
+    return acc
 
 
 def _slices(plan: dict):
-    """Each nonempty q-slice of T_w, one at a time, from its product pairs."""
+    """Each nonempty q-slice of T_w, one at a time, drained from its plan."""
     while plan:
-        _, pairs = plan.popitem()
-        acc: dict = {}
-        for poly, terms in pairs:
-            _mac(acc, poly, terms)
+        _, (_, pairs) = plan.popitem()
+        acc = _slice(pairs)
         if acc:
             yield acc
 
 
 def _accumulate(w: Permutation):
-    """(iterator over the q-slices of T_w, sum of 2^{|E|}, number of diagrams).
+    """(plan of the q-slices of T_w, sum of 2^{|E|}, number of diagrams).
 
     A dynamic program over the column-state graph, east to west: each
     state keeps the summed weights of the partial diagrams reaching it,
@@ -200,13 +210,18 @@ def _accumulate(w: Permutation):
     a filling multiplies them by its column's weight.  Dominoes pair only
     vertically adjacent blanks of one column, so one column weight covers
     all pairings of its filling.  Terms with different q-parts never
-    cancel, so the west column is combined one target q-part at a time:
-    a slice is a packed term dict whose terms share one q-part, and only
-    one slice is held at a time.
+    cancel, so the west column is not multiplied out: the plan maps each
+    target q-part to its product pairs, which :func:`_slice` sums into a
+    packed term dict whose terms share one q-part.
+
+    Next to its polynomial, each state part carries the set of |NQ|
+    parities of the partial diagrams reaching it; parts that merge join
+    their sets, and so does a plan entry, so an entry's set is exactly the
+    set of |NQ| parities of the diagrams of w with its q-part.
     """
     n = w.n
-    cur = {tuple(range(n)): [{0: {0: 1}}, 1, 1]}
-    plan: dict = {}  # target q-part -> [(state part, weight part), ...]
+    cur = {tuple(range(n)): [{0: [{0: 1}, 1]}, 1, 1]}  # weight 1, parity even
+    plan: dict = {}  # target q-part -> [parities, [(state poly, weight terms), ...]]
     total_g = total_f = 0
     for depth, layer in enumerate(column_graph(w)):
         c = n - 1 - depth
@@ -217,29 +232,39 @@ def _accumulate(w: Permutation):
         while cur:
             state, (parts, g, f) = cur.popitem()
             for new, tiles in layer[state]:
-                wparts, tg, tf = _column_weight(n, c, tiles)
+                wparts, tg, tf, odd = _column_weight(n, c, tiles)
                 if west:
-                    for qa, poly in parts.items():
+                    for qa, (poly, bits) in parts.items():
+                        bits = _FLIP[bits] if odd else bits
                         for qb, terms in wparts.items():
-                            plan.setdefault(qa + qb, []).append((poly, terms))
+                            entry = plan.get(qa + qb)
+                            if entry is None:
+                                entry = plan[qa + qb] = [0, []]
+                            entry[0] |= bits
+                            entry[1].append((poly, terms))
                     total_g += g * tg
                     total_f += f * tf
                     continue
                 entry = nxt.setdefault(new, [{}, 0, 0])
                 acc = entry[0]
-                for qa, poly in parts.items():
+                for qa, (poly, bits) in parts.items():
+                    bits = _FLIP[bits] if odd else bits
                     for qb, terms in wparts.items():
-                        _mac(acc.setdefault(qa + qb, {}), poly, terms)
+                        part = acc.get(qa + qb)
+                        if part is None:
+                            part = acc[qa + qb] = [{}, 0]
+                        _mac(part[0], poly, terms)
+                        part[1] |= bits
                 entry[1] += g * tg
                 entry[2] += f * tf
         cur = nxt
-    return _slices(plan), total_g, total_f
+    return plan, total_g, total_f
 
 
 def qbpd_polynomial(w: Permutation) -> Poly:
     """T_w: the sum of binomial weights over all diagrams of w."""
-    slices, _, _ = _accumulate(w)
-    return Poly._from_packed(w.n, slices)
+    plan, _, _ = _accumulate(w)
+    return Poly._from_packed(w.n, _slices(plan))
 
 
 def _abs_sum(terms: dict) -> int:
@@ -247,10 +272,26 @@ def _abs_sum(terms: dict) -> int:
 
 
 def cancellation_stats(w: Permutation) -> CancellationStats:
-    """Monomial counts of T_w against the diagram expansion, and their gap."""
-    slices, qbpd_monomials, count = _accumulate(w)
-    # ``map`` keeps no slice between calls, so one slice is alive at a time
-    poly_monomials = sum(map(_abs_sum, slices))
+    """Monomial counts of T_w against the diagram expansion, and their gap.
+
+    A term that picks -y_j on k cells has y-degree k and the sign
+    (-1)^{|NQ|+k}, so two terms on one monomial cancel only when their
+    diagrams' |NQ| parities differ.  A slice that one parity reaches
+    cancels nothing, in its state parts or at the west column: its sum of
+    absolute coefficients is, over its product pairs, the state part's
+    times the weight part's, which is the weight part's length since its
+    terms are +-1 on distinct keys.  Only the slices both parities reach
+    are built.
+    """
+    plan, qbpd_monomials, count = _accumulate(w)
+    poly_monomials = 0
+    # one slice is alive at a time, and each is freed with its plan entry
+    while plan:
+        _, (parities, pairs) = plan.popitem()
+        if parities == 3:
+            poly_monomials += _abs_sum(_slice(pairs))
+        else:
+            poly_monomials += sum(_abs_sum(poly) * len(terms) for poly, terms in pairs)
     diff = qbpd_monomials - poly_monomials
     if diff < 0 or diff % 2:
         raise ArithmeticError(

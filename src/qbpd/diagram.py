@@ -309,9 +309,9 @@ def rothe_diagram(w: Permutation) -> Diagram:
 def _blank_runs(flat, n: int) -> list[tuple[int, int, int]]:
     """Maximal vertical runs of blank cells as 0-based (column, top, bottom).
 
-    ``flat`` holds ``n`` columns row by row; with ``n = 1`` it is one column.
+    ``flat`` holds the tile bytes of ``n`` columns row by row, blanks as zero
+    bytes; with ``n = 1`` it is one column.
     """
-    flat = bytes(flat)  # blank tiles are zero bytes
     runs = []
     for c in range(n):
         col = flat[c::n]

@@ -190,15 +190,24 @@ def test_weight_sum_matches_per_diagram_weights_s5():
 def test_column_weight_counts_are_run_continuants_s7():
     # G counts a filling's expanded terms and F its pairings; both are
     # read off the keys of its weight, so two terms sharing a key would
-    # merge and fall short of the run continuants below
+    # merge and fall short of the run continuants below.  Its parity is
+    # that of its -q factors: its SW corners and the vertical tiles whose
+    # strand runs down to an NE corner, which a pipe climbs
     from qbpd.analysis import _column_weight
     from qbpd.columns import column_graph
-    from qbpd.diagram import _blank_runs
+    from qbpd.diagram import TileKind, _blank_runs
 
     G, F = {-1: 0, 0: 1}, {-1: 0, 0: 1}  # by run length
     for L in range(1, 8):
         G[L] = 2 * G[L - 1] + G[L - 2]
         F[L] = F[L - 1] + F[L - 2]
+
+    def climbed(tiles, r):
+        for t in tiles[r + 1 :]:
+            if t not in (TileKind.NS, TileKind.CROSS):
+                return t == TileKind.NE
+        return False
+
     fillings = {
         (n, n - 1 - depth, tiles)
         for n in range(1, 8)
@@ -213,9 +222,34 @@ def test_column_weight_counts_are_run_continuants_s7():
         for _, top, bottom in _blank_runs(tiles, 1):
             g *= G[bottom - top + 1]
             f *= F[bottom - top + 1]
-        parts, tg, tf = _column_weight(n, c, tiles)
+        parts, tg, tf, odd = _column_weight(n, c, tiles)
         assert (tg, tf) == (g, f), (n, c, tiles)
         assert sum(map(len, parts.values())) == g
+        corners = tiles.count(TileKind.SW)
+        climbs = sum(
+            t == TileKind.NS and climbed(tiles, r) for r, t in enumerate(tiles)
+        )
+        assert odd == (corners + climbs) % 2, (n, c, tiles)
+
+
+def test_parity_shortcut_needs_true_parities(monkeypatch):
+    # cancellation_stats counts a slice that one |NQ| parity reaches in
+    # closed form; were every filling read as even, every slice would be,
+    # and only the cancellations east of the west column would be counted
+    import qbpd.analysis
+
+    rows = [make_permutation([6, 1, 5, 4, 3, 2]), make_permutation([4, 1, 3, 2])]
+    true = [cancellation_stats(w) for w in rows]
+    assert [s.cancellations for s in true] == [21510, 2]
+    weight = qbpd.analysis._column_weight
+    monkeypatch.setattr(
+        qbpd.analysis,
+        "_column_weight",
+        lambda n, c, tiles: weight(n, c, tiles)[:3] + (False,),
+    )
+    even = [cancellation_stats(w) for w in rows]
+    assert [s.cancellations for s in even] == [11801, 0]
+    assert all(a != b for a, b in zip(even, true))
 
 
 def test_packed_field_width_bound_w0_s4():

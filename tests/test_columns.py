@@ -3,12 +3,18 @@
 import hashlib
 import random
 
-from qbpd.analysis import _accumulate, cancellation_stats
+from qbpd.analysis import (
+    _abs_sum,
+    _accumulate,
+    _slices,
+    cancellation_stats,
+    weight_cells,
+)
 from qbpd.columns import _column_moves, column_enumerate, column_graph, flat_diagrams
 from qbpd.moves import _closure, enumerate_qbpds
 from qbpd.oracle import quantum_double_schubert_transition
 from qbpd.perm import enumerate_symmetric_group, make_permutation, parse_permutation
-from qbpd.polyring import Poly
+from qbpd.polyring import Poly, _narrow
 
 
 def test_column_enumerate_equals_closure_s6():
@@ -26,15 +32,49 @@ def test_walk_tilings_equal_closure_s7_sample_and_s8():
 
 
 def test_accumulate_golden_s6():
-    # digest computed with the per-diagram expansion over the move closure
+    # digest computed with the per-diagram expansion over the move closure;
+    # a slice that one |NQ| parity reaches cancels nothing, so its closed
+    # form, which cancellation_stats uses, equals its exact sum of |coef|
     h = hashlib.md5()
+    qmask = _narrow(6).qmask
+    targets = one_parity = 0
     for w in enumerate_symmetric_group(6):
-        slices, G, F = _accumulate(w)
+        plan, G, F = _accumulate(w)
+        closed = {
+            q: sum(_abs_sum(poly) * len(terms) for poly, terms in pairs)
+            for q, (parities, pairs) in plan.items()
+            if parities != 3
+        }
+        targets += len(plan)
+        one_parity += len(closed)
         acc = {}
-        for part in slices:
+        for part in _slices(plan):
             acc.update(part)
+            q = next(iter(part)) & qmask
+            if q in closed:
+                assert closed.pop(q) == _abs_sum(part), (w, q)
+        assert not closed, w
         h.update(repr((w.images, sorted(acc.items()), G, F)).encode())
     assert h.hexdigest() == "b2a5d8fafbeb34f58a2d00b91bee99f1"
+    assert (targets, one_parity) == (14534, 8296)
+
+
+def test_plan_parities_match_the_diagrams_s5():
+    # independently of the DP: the |NQ| parities of the diagrams of w that
+    # share one q-monomial, read off weight_cells, make up the plan's set
+    pairs = mixed = 0
+    for w in (w for n in range(1, 6) for w in enumerate_symmetric_group(n)):
+        q = _narrow(w.n).q
+        found = {}
+        for D in enumerate_qbpds(w):
+            cells = weight_cells(D)
+            key = sum(q[r - 1] for r, _ in cells.Q | cells.NQ)
+            found[key] = found.get(key, 0) | (2 if len(cells.NQ) % 2 else 1)
+        plan = _accumulate(w)[0]
+        assert {key: parities for key, (parities, _) in plan.items()} == found, w
+        pairs += len(found)
+        mixed += sum(parities == 3 for parities in found.values())
+    assert (pairs, mixed) == (917, 199)
 
 
 def test_accumulate_q_slices_partition_t_w():
@@ -43,7 +83,7 @@ def test_accumulate_q_slices_partition_t_w():
     perms = [w for n in range(1, 6) for w in enumerate_symmetric_group(n)]
     for w in perms + [parse_permutation("654321")]:
         n = w.n
-        slices = list(_accumulate(w)[0])
+        slices = list(_slices(_accumulate(w)[0]))
         qparts = []
         for part in slices:
             monomials = Poly._from_packed(n, [part]).terms()
@@ -60,7 +100,7 @@ def test_accumulate_q_slices_partition_t_w():
         ("654321", 61, 15944, 113416),
         ("615432", 49, 11576, 46026),
     ):
-        sizes = [len(part) for part in _accumulate(parse_permutation(text))[0]]
+        sizes = [len(part) for part in _slices(_accumulate(parse_permutation(text))[0])]
         assert (len(sizes), max(sizes), sum(sizes)) == (count, largest, total)
 
 

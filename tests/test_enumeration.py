@@ -82,7 +82,7 @@ def test_every_diagram_round_trips_and_keeps_degree(n):
 
 def test_blank_runs_reach_the_grid_edges():
     # column 1 is blank top to bottom, column 2 only in its bottom row
-    assert _blank_runs([0, 5, 0, 0], 2) == [(0, 0, 1), (1, 1, 1)]
+    assert _blank_runs(bytes([0, 5, 0, 0]), 2) == [(0, 0, 1), (1, 1, 1)]
     assert _blank_runs(bytes([1, 0, 0, 0, 0, 2, 0, 3, 0]), 3) == [
         (0, 1, 2),
         (1, 0, 1),
