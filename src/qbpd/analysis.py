@@ -209,55 +209,44 @@ def _accumulate(w: Permutation):
     split by q-part, with their expanded-term count and diagram count, and
     a filling multiplies them by its column's weight.  Dominoes pair only
     vertically adjacent blanks of one column, so one column weight covers
-    all pairings of its filling.  Terms with different q-parts never
-    cancel, so the west column is not multiplied out: the plan maps each
-    target q-part to its product pairs, which :func:`_slice` sums into a
-    packed term dict whose terms share one q-part.
+    all pairings of its filling.  Every part is kept as its product pairs
+    (state polynomial, weight terms), and :func:`_slice` sums them into a
+    packed term dict only when its state is spent.  Terms with different
+    q-parts never cancel, so the parts of the west edge's one state ``()``
+    are the plan: each maps a target q-part to the pairs of one slice.
 
-    Next to its polynomial, each state part carries the set of |NQ|
-    parities of the partial diagrams reaching it; parts that merge join
-    their sets, and so does a plan entry, so an entry's set is exactly the
-    set of |NQ| parities of the diagrams of w with its q-part.
+    Next to its pairs, each part carries the set of |NQ| parities of the
+    partial diagrams reaching it; parts that merge join their sets, so a
+    plan entry's set is exactly the set of |NQ| parities of the diagrams
+    of w with its q-part.
     """
     n = w.n
-    cur = {tuple(range(n)): [{0: [{0: 1}, 1]}, 1, 1]}  # weight 1, parity even
-    plan: dict = {}  # target q-part -> [parities, [(state poly, weight terms), ...]]
-    total_g = total_f = 0
+    # state -> [{q-part: [parities, [(state poly, weight terms), ...]]}, G, F]
+    cur = {tuple(range(n)): [{0: [1, [({0: 1}, ((0, 1),))]]}, 1, 1]}
     for depth, layer in enumerate(column_graph(w)):
         c = n - 1 - depth
-        west = c == 0
         nxt: dict = {}
         # each state is freed once spent: the next boundary grows as this
         # one shrinks
         while cur:
             state, (parts, g, f) = cur.popitem()
+            built = [(qa, bits, _slice(pairs)) for qa, (bits, pairs) in parts.items()]
             for new, tiles in layer[state]:
                 wparts, tg, tf, odd = _column_weight(n, c, tiles)
-                if west:
-                    for qa, (poly, bits) in parts.items():
-                        bits = _FLIP[bits] if odd else bits
-                        for qb, terms in wparts.items():
-                            entry = plan.get(qa + qb)
-                            if entry is None:
-                                entry = plan[qa + qb] = [0, []]
-                            entry[0] |= bits
-                            entry[1].append((poly, terms))
-                    total_g += g * tg
-                    total_f += f * tf
-                    continue
                 entry = nxt.setdefault(new, [{}, 0, 0])
                 acc = entry[0]
-                for qa, (poly, bits) in parts.items():
+                for qa, bits, poly in built:
                     bits = _FLIP[bits] if odd else bits
                     for qb, terms in wparts.items():
                         part = acc.get(qa + qb)
                         if part is None:
-                            part = acc[qa + qb] = [{}, 0]
-                        _mac(part[0], poly, terms)
-                        part[1] |= bits
+                            part = acc[qa + qb] = [0, []]
+                        part[0] |= bits
+                        part[1].append((poly, terms))
                 entry[1] += g * tg
                 entry[2] += f * tf
         cur = nxt
+    ((plan, total_g, total_f),) = cur.values()
     return plan, total_g, total_f
 
 
@@ -315,8 +304,10 @@ def is_cancellation_free(w: Permutation) -> bool:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Worker count: ``jobs``, else the CPU count."""
+    """Worker count: ``jobs``, else the CPUs this process may use."""
     if jobs is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if jobs < 1:
         raise OutOfRange(f"jobs must be a positive integer, got {jobs!r}")

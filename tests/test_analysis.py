@@ -1,7 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qbpd
 
 from qbpd.analysis import (
     CancellationStats,
@@ -163,6 +169,28 @@ def test_stats_for_group_order_independent_of_workers():
     assert [s.perm.images for s in rows] == [
         w.images for w in enumerate_symmetric_group(5)
     ]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+)
+def test_default_jobs_follow_cpu_affinity():
+    # a child pinned to one usable CPU starts one worker, not one per CPU
+    src = str(Path(qbpd.__file__).resolve().parent.parent)
+    code = (
+        "import os\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from qbpd.analysis import resolve_jobs\n"
+        "print(resolve_jobs(None))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "1\n"
 
 
 def test_stats_for_group_rows_are_records_from_workers():
