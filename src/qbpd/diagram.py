@@ -12,7 +12,9 @@ which is also how validity is checked.  One tracer follows each pipe along
 the segment holding its entry side, records a rightward step as a
 violation and goes on, and audits segment use and crossings;
 ``validate``, ``extract_permutation``, the weight cells and the move
-closure all read it.
+closure all read it.  ``ROUTE`` is the one statement of which sides each
+tile joins: the tracer follows it, and the usage audit, the moves and the
+drawing read the ``SEGMENTS`` derived from it.
 """
 
 from __future__ import annotations
@@ -76,10 +78,16 @@ ROUTE = (
     (S, -1, N, -1),  # NS
     (S, W, N, E + 4),  # CROSS
 )
-# the segment use of a valid grid per tile, indexed by tile: passes along
-# the horizontal strand (or the only segment) in the low nibble and along
-# the vertical strand of a CROSS in the high one
-_EXPECTED_USAGE = bytes([0, 1, 1, 1, 1, 1, 1, 0x11]).ljust(256, b"\0")
+# each tile's segments as bit sets of the sides they join (N=1, E=2, S=4,
+# W=8), in falling order, so a CROSS lists its horizontal strand first
+SEGMENTS = tuple(
+    tuple(sorted({1 << e | 1 << (x & 3) for e, x in enumerate(r) if x >= 0})[::-1])
+    for r in ROUTE
+)
+# the segment use of a valid grid per tile, indexed by tile: one pass along
+# each segment, the first in the low nibble and a CROSS's second (its
+# vertical strand) in the high one
+_EXPECTED_USAGE = bytes((0, 1, 0x11)[len(s)] for s in SEGMENTS).ljust(256, b"\0")
 
 
 class Diagram(_Record):

@@ -6,9 +6,10 @@ the top row to an ES corner and down the west column, and sends it down
 the east column and west along the bottom row.  A lift takes a westward
 run along the bottom row and sends it up the east column, west along the
 top row and back down the west column.  The rule adds and drops segments,
-each tile being the set of segments read off ``diagram.ROUTE``; a move is
-rejected when a rerouted cell is not a tile, or when the result fails
-validity or reducedness.  ``_droop_candidates`` and ``_lift_candidates``
+each tile being its ``diagram.SEGMENTS``, read off ``diagram.ROUTE``, the
+one statement of which sides each tile joins; a move is rejected when a
+rerouted cell is not a tile, or when the result fails validity or
+reducedness.  ``_droop_candidates`` and ``_lift_candidates``
 are the one definition of the moves: they yield every reroute of a grid
 with its move, and the closure keeps those that trace as valid.
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import chain
 
-from .diagram import _B, _ES, ROUTE, E, N, S, W
+from .diagram import _B, _ES, SEGMENTS, E, N, S, W
 from .diagram import Diagram, _pairings, _trace, rothe_diagram
 from .perm import Permutation
 
@@ -34,21 +35,17 @@ __all__ = ["enumerate_unpaired", "enumerate_qbpds"]
 # ---------------------------------------------------------------------------
 # rerouting on tile bytes (0-based coordinates)
 
-# each tile's segments as bit sets of the sides they join (N=1, E=2, S=4, W=8)
-_SEGMENTS = [
-    tuple(sorted({1 << e | 1 << (x & 3) for e, x in enumerate(route) if x >= 0}))
-    for route in ROUTE
-]
-_TILES = {segments: tile for tile, segments in enumerate(_SEGMENTS)}
-# the tile with one segment more or less, indexed by tile and segment; a
-# segment more is None when the result is not a tile
+_TILES = {segments: tile for tile, segments in enumerate(SEGMENTS)}
+# the tile with one segment more or less, indexed by tile and segment (a
+# bit set of sides, as in ``diagram.SEGMENTS``); a segment more is None
+# when the result is not a tile
 _ADD = [
-    [_TILES.get(tuple(sorted((*segments, s)))) for s in range(16)]
-    for segments in _SEGMENTS
+    [_TILES.get(tuple(sorted((*segments, s))[::-1])) for s in range(16)]
+    for segments in SEGMENTS
 ]
 _DROP = [
     {s: _TILES[tuple(x for x in segments if x != s)] for s in segments}
-    for segments in _SEGMENTS
+    for segments in SEGMENTS
 ]
 
 

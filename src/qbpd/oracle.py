@@ -18,12 +18,13 @@ trimmed of trailing fixed points so that embedded copies share entries:
   family is stable), as the transition route does;
 * the transition recursion, which rewrites the polynomial of w in terms of
   polynomials of permutations that are smaller in the termination order
-  (largest moved point, then position of its preimage).
+  (largest moved point, then position of its preimage), whose
+  corrections are quantum Monk terms (``_monk_terms``).
 
 The classical double Schubert polynomials are the quantum ones at q = 0.
 A Monk's-rule residual checker evaluates left minus right hand side of the
-quantum double Monk rule with every Schubert polynomial produced by the
-defining route.
+quantum double Monk rule, whose right side reads the same Monk terms, with
+every Schubert polynomial produced by the defining route.
 """
 
 from __future__ import annotations
@@ -139,6 +140,23 @@ def q_interval(c: int, d: int, n: int) -> Poly:
     return acc
 
 
+def _monk_terms(w: Permutation, pairs, T):
+    """Yield the quantum Monk terms of w over ``pairs`` of positions a < b.
+
+    T(w t_ab) where w t_ab covers w in the Bruhat order, and
+    q_a ... q_{b-1} T(w t_ab) where it is a full quantum lowering of w;
+    ``T`` gives the polynomial of a permutation of the size of w.  Each
+    caller adds the terms straight into its own sum; summing them apart
+    first would merge every term twice.
+    """
+    for a, b in pairs:
+        if is_bruhat_cover(w, a, b):
+            yield T(right_multiply_transposition(w, a, b))
+        elif is_quantum_lower(w, a, b):
+            q = q_interval(a, b, w.n)
+            yield q * T(right_multiply_transposition(w, a, b))
+
+
 def monk_residual(k: int, w: Permutation) -> Poly:
     """LHS minus RHS of the quantum double Monk rule for S^q_{s_k} * S^q_w.
 
@@ -154,24 +172,13 @@ def monk_residual(k: int, w: Permutation) -> Poly:
     sk = make_permutation(
         tuple(k + 1 if v == k else k if v == k + 1 else v for v in range(1, N + 1))
     )
-    swE = quantum_double_schubert_defining(wE)
-    lhs = quantum_double_schubert_defining(sk) * swE
-    rhs = Poly.zero(N)
-    for a in range(1, k + 1):
-        for b in range(k + 1, N + 1):
-            if is_bruhat_cover(wE, a, b):
-                rhs = rhs + quantum_double_schubert_defining(
-                    right_multiply_transposition(wE, a, b)
-                )
-            if is_quantum_lower(wE, a, b):
-                rhs = rhs + q_interval(a, b, N) * quantum_double_schubert_defining(
-                    right_multiply_transposition(wE, a, b)
-                )
+    S = quantum_double_schubert_defining
+    swE = S(wE)
+    pairs = [(a, b) for a in range(1, k + 1) for b in range(k + 1, N + 1)]
     extra = Poly.zero(N)
     for i in range(1, k + 1):
         extra = extra + Poly.y(wE(i), N) - Poly.y(i, N)
-    rhs = rhs + extra * swE
-    return lhs - rhs
+    return S(sk) * swE - sum(_monk_terms(wE, pairs, S), extra * swE)
 
 
 def quantum_double_schubert_transition(w: Permutation) -> Poly:
@@ -196,24 +203,15 @@ def _transition_rec(images: tuple[int, ...]) -> Poly:
 def transition_rhs(pi: Permutation, T) -> Poly:
     """Right-hand side of the transition equation of a non-identity pi.
 
-    (x_a - y_m) T(sigma), plus the covering corrections, minus the quantum
-    corrections east of a, plus the quantum corrections west of a, where
-    ``T`` gives the polynomial of a permutation of the size of pi.
+    (x_a - y_m) T(sigma), plus the Monk terms of sigma west of a, minus
+    those east of a other than pi = sigma t_ab itself, which are quantum
+    lowerings only; ``T`` gives the polynomial of a permutation of the
+    size of pi.
     """
     n = pi.n
     td = transition_setup(pi)
     sigma, a = td.sigma, td.a
-    rhs = Poly.x_minus_y(a, td.m, n) * T(sigma)
-    for c in range(1, a):
-        if is_bruhat_cover(sigma, c, a):
-            rhs = rhs + T(right_multiply_transposition(sigma, c, a))
-    for c in range(a + 1, n + 1):
-        if is_quantum_lower(sigma, a, c):
-            rhs = rhs - q_interval(a, c, n) * T(
-                right_multiply_transposition(sigma, a, c)
-            )
-    for c in td.S:
-        rhs = rhs + q_interval(c, a, n) * T(
-            right_multiply_transposition(sigma, c, a)
-        )
-    return rhs
+    west = [(c, a) for c in range(1, a)]
+    east = [(a, c) for c in range(a + 1, n + 1) if c != td.b]
+    rhs = sum(_monk_terms(sigma, west, T), Poly.x_minus_y(a, td.m, n) * T(sigma))
+    return sum((-term for term in _monk_terms(sigma, east, T)), rhs)

@@ -1,8 +1,12 @@
-"""ASCII and SVG drawings of diagrams."""
+"""ASCII and SVG drawings of diagrams.
+
+SVG strokes are the tiles' ``diagram.SEGMENTS``, read off ``diagram.ROUTE``,
+the one statement of which sides each tile joins.
+"""
 
 from __future__ import annotations
 
-from .diagram import Diagram, TileKind
+from .diagram import SEGMENTS, Diagram, N, TileKind, W
 
 __all__ = ["render_ascii", "render_svg"]
 
@@ -29,25 +33,31 @@ def render_ascii(D: Diagram) -> str:
 
 _CELL = 40
 _HALF = _CELL // 2
+# the midpoint of each side of a cell, N E S W, from its north-west corner
+_MIDPOINTS = ((_HALF, 0), (_CELL, _HALF), (_HALF, _CELL), (0, _HALF))
+_PEN = ' stroke="#1f4faa" stroke-width="3"/>'
 
 
-def _arc(x1, y1, x2, y2):
-    # quarter circle from (x1,y1) to (x2,y2), radius half a cell
-    return (
-        f'<path d="M {x1} {y1} A {_HALF} {_HALF} 0 0 1 {x2} {y2}"'
-        ' fill="none" stroke="#1f4faa" stroke-width="3"/>'
-    )
+def _stroke(x0, y0, segment):
+    """The stroke of a segment of the cell with north-west corner (x0, y0).
 
-
-def _line(x1, y1, x2, y2):
-    return (
-        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"'
-        ' stroke="#1f4faa" stroke-width="3"/>'
-    )
+    ``segment`` is the bit set of the two sides it joins, as in
+    ``diagram.SEGMENTS``.
+    """
+    sides = [s for s in range(4) if segment >> s & 1]
+    ends = [(x0 + _MIDPOINTS[s][0], y0 + _MIDPOINTS[s][1]) for s in sides]
+    if sides[1] - sides[0] == 2:  # straight: north to south, west to east
+        (x1, y1), (x2, y2) = sorted(ends)
+        return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"' + _PEN
+    # an elbow: the quarter circle round the corner its two sides share,
+    # clockwise from the side that follows to the one before it (the
+    # higher side, except that N follows W)
+    (x1, y1), (x2, y2) = ends if sides == [N, W] else ends[::-1]
+    return f'<path d="M {x1} {y1} A {_HALF} {_HALF} 0 0 1 {x2} {y2}" fill="none"' + _PEN
 
 
 def render_svg(D: Diagram) -> str:
-    """Self-contained SVG, 40px per cell, arcs for the elbow tiles."""
+    """Self-contained SVG, 40px per cell, quarter arcs for the elbow tiles."""
     n = D.n
     size = n * _CELL
     parts = [
@@ -63,27 +73,10 @@ def render_svg(D: Diagram) -> str:
         parts.append(
             f'<line x1="{v}" y1="0" x2="{v}" y2="{size}" stroke="#999"/>'
         )
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            x0, y0 = (c - 1) * _CELL, (r - 1) * _CELL
-            xm, ym = x0 + _HALF, y0 + _HALF
-            x1, y1 = x0 + _CELL, y0 + _CELL
-            t = D.tile_at(r, c)
-            if t == TileKind.EW:
-                parts.append(_line(x0, ym, x1, ym))
-            elif t == TileKind.NS:
-                parts.append(_line(xm, y0, xm, y1))
-            elif t == TileKind.CROSS:
-                parts.append(_line(x0, ym, x1, ym))
-                parts.append(_line(xm, y0, xm, y1))
-            elif t == TileKind.ES:
-                parts.append(_arc(x1, ym, xm, y1))
-            elif t == TileKind.WN:
-                parts.append(_arc(xm, y0, x0, ym))
-            elif t == TileKind.SW:
-                parts.append(_arc(xm, y1, x0, ym))
-            elif t == TileKind.NE:
-                parts.append(_arc(x1, ym, xm, y0))
+    for r, row in enumerate(D.tiles):
+        for c, tile in enumerate(row):
+            for segment in SEGMENTS[tile]:
+                parts.append(_stroke(c * _CELL, r * _CELL, segment))
     for r, c in sorted(D.dominoes):
         x0, y0 = (c - 1) * _CELL + 4, (r - 1) * _CELL + 4
         parts.append(

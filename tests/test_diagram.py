@@ -6,6 +6,8 @@ import pytest
 
 import qbpd.diagram
 from qbpd.diagram import (
+    ROUTE,
+    SEGMENTS,
     SIDE_CHARS,
     Diagram,
     E,
@@ -207,6 +209,20 @@ def test_text_round_trip():
         diagram_from_text("2\n..\n.Z\n")
     with pytest.raises(ValueError):
         diagram_from_text("")
+
+
+def test_segment_and_usage_tables_follow_route():
+    # each segment pairs two sides that ROUTE maps to each other, a CROSS
+    # lists its horizontal strand first, and a valid grid passes once along
+    # each segment, a CROSS's vertical strand counted in the high nibble
+    for route, segments in zip(ROUTE, SEGMENTS):
+        for segment in segments:
+            a, b = (s for s in range(4) if segment >> s & 1)
+            assert route[a] & 3 == b and route[b] & 3 == a
+        assert 2 * len(segments) == sum(x >= 0 for x in route)
+    assert SEGMENTS[T.CROSS] == (2 | 8, 1 | 4)
+    usage = qbpd.diagram._EXPECTED_USAGE
+    assert usage == bytes([0, 1, 1, 1, 1, 1, 1, 0x11]).ljust(256, b"\0")
 
 
 def test_tracer_golden_random_grids():
