@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .diagram import _B, _NE, _SW, _X, S, Diagram, _blank_runs, _valid_trace
-from .errors import IdentityPermutation, OutOfRange, SizeLimit
+from .errors import OutOfRange, SizeLimit
 from .columns import column_graph
 from .perm import Permutation, enumerate_symmetric_group, length
 from .polyring import Poly, _mac, _narrow
@@ -118,7 +118,7 @@ def wt(D: Diagram) -> Poly:
 def is_classical_bpd(D: Diagram) -> bool:
     """True when the diagram uses no quantum features at all."""
     cells = weight_cells(D)
-    return not cells.Q and not cells.NQ and not D.dominoes
+    return not cells.Q and not cells.NQ
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +372,4 @@ def verify_transition(pi: Permutation) -> Poly:
     """LHS minus RHS of the transition equation with every polynomial a T."""
     from .oracle import transition_rhs
 
-    if pi.is_identity():
-        raise IdentityPermutation("transition applies to non-identity input")
     return qbpd_polynomial(pi) - transition_rhs(pi, qbpd_polynomial)

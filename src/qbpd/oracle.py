@@ -134,10 +134,7 @@ def q_interval(c: int, d: int, n: int) -> Poly:
     """The monomial q_c q_{c+1} ... q_{d-1}."""
     if not 1 <= c < d <= n:
         raise OutOfRange(f"need 1 <= c < d <= {n}, got c={c}, d={d}")
-    acc = Poly.q(c, n)
-    for i in range(c + 1, d):
-        acc = acc * Poly.q(i, n)
-    return acc
+    return _product((Poly.q(i, n) for i in range(c, d)), n)
 
 
 def _monk_terms(w: Permutation, pairs, T):
@@ -169,9 +166,7 @@ def monk_residual(k: int, w: Permutation) -> Poly:
         raise OutOfRange(f"need 1 <= k <= {n - 1}, got {k}")
     N = n + 1
     wE = embed(w, N)
-    sk = make_permutation(
-        tuple(k + 1 if v == k else k if v == k + 1 else v for v in range(1, N + 1))
-    )
+    sk = right_multiply_transposition(make_permutation(range(1, N + 1)), k, k + 1)
     S = quantum_double_schubert_defining
     swE = S(wE)
     pairs = [(a, b) for a in range(1, k + 1) for b in range(k + 1, N + 1)]
@@ -203,15 +198,15 @@ def _transition_rec(images: tuple[int, ...]) -> Poly:
 def transition_rhs(pi: Permutation, T) -> Poly:
     """Right-hand side of the transition equation of a non-identity pi.
 
-    (x_a - y_m) T(sigma), plus the Monk terms of sigma west of a, minus
-    those east of a other than pi = sigma t_ab itself, which are quantum
-    lowerings only; ``T`` gives the polynomial of a permutation of the
-    size of pi.
+    With (n, a, b, m, sigma) from ``transition_setup`` (pi = sigma t_ab),
+    T(pi) = (x_a - y_m) T(sigma) + sum_{c<a} M(c, a) - sum_{a<c<=n, c!=b} M(a, c),
+    M being sigma's quantum Monk terms (``_monk_terms``), quantum lowerings
+    only east of a.  No c > n counts: sigma fixes c, and a < b < c with
+    m < sigma(b) = n < c.  ``T`` gives the polynomial of a permutation of
+    the size of pi, in whose ring x_a - y_m is taken.
     """
-    n = pi.n
-    td = transition_setup(pi)
-    sigma, a = td.sigma, td.a
+    n, a, b, m, sigma = transition_setup(pi)
     west = [(c, a) for c in range(1, a)]
-    east = [(a, c) for c in range(a + 1, n + 1) if c != td.b]
-    rhs = sum(_monk_terms(sigma, west, T), Poly.x_minus_y(a, td.m, n) * T(sigma))
+    east = [(a, c) for c in range(a + 1, n + 1) if c != b]
+    rhs = sum(_monk_terms(sigma, west, T), Poly.x_minus_y(a, m, pi.n) * T(sigma))
     return sum((-term for term in _monk_terms(sigma, east, T)), rhs)

@@ -5,7 +5,7 @@ Positions and values are 1-based throughout, matching matrix coordinates:
 operations this module provides the two cover predicates used by the
 transition recursion (ordinary Bruhat covers and "quantum" lowerings by a
 reflection of full length) and the transition setup data
-``(n, a, b, m, sigma, S, p)`` extracted from a non-identity permutation.
+``(n, a, b, m, sigma)`` extracted from a non-identity permutation.
 """
 
 from __future__ import annotations
@@ -192,13 +192,11 @@ def is_quantum_lower(sigma: Permutation, c: int, d: int) -> bool:
 
 
 class TransitionData(NamedTuple):
-    """The data (n, a, b, m, sigma, S, p) attached to a non-identity w.
+    """The data (n, a, b, m, sigma) the transition equation reads for w.
 
     ``n`` is the largest non-fixed point, ``a`` the position carrying the
     value n, ``b`` the position of the secondary maximum after a,
-    ``sigma = w*t_ab``, ``m = sigma(a)``, ``S`` the descending list of
-    positions c < a with sigma*t_ca a quantum lowering of sigma, and
-    ``p[i] = sigma(S[i-1])`` with ``p[0] = m``.
+    ``sigma = w*t_ab`` and ``m = sigma(a)``.
     """
 
     n: int
@@ -206,16 +204,14 @@ class TransitionData(NamedTuple):
     b: int
     m: int
     sigma: Permutation
-    S: tuple[int, ...]
-    p: tuple[int, ...]
 
 
 def transition_setup(pi: Permutation) -> TransitionData:
     """Compute the transition data of a non-identity permutation.
 
     >>> td = transition_setup(make_permutation([3, 4, 2, 1]))
-    >>> (td.n, td.a, td.b, td.m, td.sigma.images, td.S, td.p)
-    (4, 2, 3, 2, (3, 2, 4, 1), (1,), (2, 3))
+    >>> (td.n, td.a, td.b, td.m, td.sigma.images)
+    (4, 2, 3, 2, (3, 2, 4, 1))
     """
     if pi.is_identity():
         raise IdentityPermutation("transition setup needs a non-identity input")
@@ -224,10 +220,7 @@ def transition_setup(pi: Permutation) -> TransitionData:
     a = images.index(n) + 1
     b = max(range(a + 1, n + 1), key=lambda i: images[i - 1])
     sigma = right_multiply_transposition(pi, a, b)
-    m = sigma(a)
-    S = tuple(c for c in range(a - 1, 0, -1) if is_quantum_lower(sigma, c, a))
-    p = (m,) + tuple(sigma(c) for c in S)
-    return TransitionData(n=n, a=a, b=b, m=m, sigma=sigma, S=S, p=p)
+    return TransitionData(n=n, a=a, b=b, m=sigma(a), sigma=sigma)
 
 
 def embed(w: Permutation, N: int) -> Permutation:

@@ -1,6 +1,9 @@
 """What importing the package and its command loads."""
 
+import doctest
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +107,15 @@ def test_move_lookup_pipe_records_and_embedding_are_not_exported():
             getattr(qbpd, name)
     for name in ("TracingStuck", "NotRestrictable", "MoveRejected"):
         assert not hasattr(qbpd.errors, name)
+
+
+def test_module_examples_pass():
+    # __main__ is left out: importing it installs the command's SIGINT handler
+    names = [m.name for m in pkgutil.iter_modules(qbpd.__path__)]
+    results = {
+        name: doctest.testmod(importlib.import_module(f"qbpd.{name}"))
+        for name in names
+        if name != "__main__"
+    }
+    assert {name: r.failed for name, r in results.items() if r.failed} == {}
+    assert results["perm"].attempted == 4 and results["polyring"].attempted == 1

@@ -8,8 +8,9 @@ from qbpd.oracle import (
     q_interval,
     quantum_double_schubert_defining,
     quantum_double_schubert_transition,
+    transition_rhs,
 )
-from qbpd.perm import enumerate_symmetric_group, length, make_permutation
+from qbpd.perm import embed, enumerate_symmetric_group, length, make_permutation
 from qbpd.polyring import Poly
 
 
@@ -91,6 +92,16 @@ def test_transition_small():
     ) == Poly.x_minus_y(1, 1, 2)
     w = make_permutation([4, 2, 1, 3])
     assert quantum_double_schubert_transition(w) == quantum_double_schubert_defining(w)
+
+
+def test_east_pairs_past_the_moved_points_add_nothing():
+    # two more fixed points give east pairs (a, c) past every moved point
+    T = quantum_double_schubert_transition
+    for n in range(2, 6):
+        for pi in enumerate_symmetric_group(n):
+            if not pi.is_identity():
+                lifted = transition_rhs(embed(pi, n + 2), T)
+                assert lifted == transition_rhs(pi, T).embed(n + 2), pi
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

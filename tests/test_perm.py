@@ -107,13 +107,10 @@ def test_transition_setup_examples():
     td = transition_setup(make_permutation([3, 4, 2, 1]))
     assert (td.n, td.a, td.b, td.m) == (4, 2, 3, 2)
     assert td.sigma.images == (3, 2, 4, 1)
-    assert td.S == (1,)
-    assert td.p == (2, 3)
 
     td = transition_setup(make_permutation([2, 1]))
     assert (td.n, td.a, td.b, td.m) == (2, 1, 2, 1)
     assert td.sigma.is_identity()
-    assert td.S == ()
 
     with pytest.raises(IdentityPermutation):
         transition_setup(make_permutation([1, 2, 3]))
@@ -131,11 +128,6 @@ def test_transition_setup_invariants(n):
         # b is the unique position in (a, n] whose sigma-value exceeds m
         bigger = [j for j in range(td.a + 1, td.n + 1) if td.sigma(j) > td.m]
         assert bigger == [td.b]
-        if td.S:
-            assert td.S[0] == td.a - 1
-            assert list(td.S) == sorted(td.S, reverse=True)
-        assert td.p[0] == td.m
-        assert list(td.p) == sorted(set(td.p))  # strictly increasing
 
 
 def test_embed():
@@ -187,12 +179,10 @@ def test_permutation_is_a_frozen_record():
 
 
 def test_transition_data_fields():
-    assert TransitionData._fields == ("n", "a", "b", "m", "sigma", "S", "p")
+    assert TransitionData._fields == ("n", "a", "b", "m", "sigma")
     td = transition_setup(make_permutation([3, 4, 2, 1]))
-    assert td == TransitionData(
-        n=4, a=2, b=3, m=2, sigma=make_permutation([3, 2, 4, 1]), S=(1,), p=(2, 3)
-    )
+    sigma = make_permutation([3, 2, 4, 1])
+    assert td == TransitionData(n=4, a=2, b=3, m=2, sigma=sigma)
     assert repr(td) == (
-        "TransitionData(n=4, a=2, b=3, m=2, sigma=Permutation(images=(3, 2, 4, 1)),"
-        " S=(1,), p=(2, 3))"
+        "TransitionData(n=4, a=2, b=3, m=2, sigma=Permutation(images=(3, 2, 4, 1)))"
     )
