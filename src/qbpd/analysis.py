@@ -21,7 +21,7 @@ import os
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diagram import _B, _NE, _SW, _X, S, Diagram, _blank_runs, _valid_trace
+from .diagram import _B, _NE, _SW, _X, S, Diagram, _valid_trace
 from .errors import OutOfRange, SizeLimit
 from .columns import column_graph
 from .perm import Permutation, enumerate_symmetric_group, length
@@ -126,45 +126,33 @@ def is_classical_bpd(D: Diagram) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _run_terms(n: int, c: int, r0: int, r1: int) -> dict:
-    """Packed terms of the blank run r0..r1 of column c over all its pairings.
-
-    The continuant R_k = (x_{r_k} - y_c) R_{k-1} + q_{r_{k-1}} R_{k-2}:
-    the run's last cell is either a lone binomial or the lower half of a
-    domino weighted by q of its upper row.  Its terms and pairings are
-    counted off the keys of the column weight, as G and F.
-    """
-    layout = _narrow(n)
-    prev: dict = {}
-    cur = {0: 1}
-    for r in range(r0, r1 + 1):
-        nxt = _mac({}, cur, ((layout.x[r], 1), (layout.y[c], -1)))
-        if prev:  # a domino needs the cell above it in the run
-            _mac(nxt, prev, ((layout.q[r - 1], 1),))
-        prev, cur = cur, nxt
-    return cur
-
-
-@lru_cache(maxsize=None)
 def _column_weight(n: int, c: int, tiles: bytes):
     """({q-part: packed terms}, G, F, odd) of one column filling over all its pairings.
 
     An upward run contributes q of every row it enters from the south:
-    -q for its SW corner and vertical tiles, +q for its crossings.  Each
-    maximal blank run contributes its continuant.  A pairing is fixed by
-    its domino q-part, and a term within a pairing by its x exponents, so
-    no two expanded terms of the filling share a key: G, the number of
-    expanded terms, is the number of keys, and F, the number of pairings,
-    the number of q-parts.  ``odd`` is the parity of the filling's -q
-    factors.  A weight depends on n, c and the filling alone, so both
-    caches serve every w of the process; callers only read the parts.
+    -q for its SW corner and vertical tiles, +q for its crossings.  A
+    blank on row r is x_r - y_c, or the lower half of a domino weighted by
+    q_{r-1} when the cell above is blank, so the blanks contribute one
+    continuant down the column.  A pairing is fixed by its domino q-part,
+    and a term within a pairing by its x exponents, so no two expanded
+    terms of the filling share a key: G, the number of expanded terms, is
+    the number of keys, and F, the number of pairings, the number of
+    q-parts.  ``odd`` is the parity of the filling's -q factors.  A weight
+    depends on n, c and the filling alone, so the cache serves every w of
+    the process; callers only read the parts.
     """
     layout = _narrow(n)
+    prev: dict = {}  # the terms before the cell above, while it is blank
     terms = {0: 1}
-    for _, top, bottom in _blank_runs(tiles, 1):
-        terms = _mac({}, _run_terms(n, c, top, bottom), terms.items())
     key, sign, up = 0, 1, False
     for r, t in enumerate(tiles):
+        if t == _B:
+            nxt = _mac({}, terms, ((layout.x[r], 1), (layout.y[c], -1)))
+            if prev:
+                _mac(nxt, prev, ((layout.q[r - 1], 1),))
+            prev, terms = terms, nxt
+            continue
+        prev = {}
         if t == _SW:
             up = True
         elif t == _NE:

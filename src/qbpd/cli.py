@@ -60,9 +60,11 @@ def cmd_enum(args) -> int:
 
     w = _sized_perm(args, args.perm)
     ds = flat_diagrams(w, unpaired=args.unpaired)
-    print(len(ds))
-    if not args.count:
+    if args.out and not args.count:  # first, so a failed write prints no count
         _write(flat_text(w.n, ds), args.out)
+    print(len(ds))
+    if not (args.out or args.count):
+        sys.stdout.write(flat_text(w.n, ds))
     return 0
 
 

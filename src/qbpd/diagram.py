@@ -314,36 +314,19 @@ def rothe_diagram(w: Permutation) -> Diagram:
     return Diagram(n=n, tiles=tuple(rows))
 
 
-def _blank_runs(flat, n: int) -> list[tuple[int, int, int]]:
-    """Maximal vertical runs of blank cells as 0-based (column, top, bottom).
-
-    ``flat`` holds the tile bytes of ``n`` columns row by row, blanks as zero
-    bytes; with ``n = 1`` it is one column.
-    """
-    runs = []
-    for c in range(n):
-        col = flat[c::n]
-        top = col.find(0)
-        while top >= 0:
-            end = len(col) - len(col[top:].lstrip(b"\0"))  # the row below the run
-            runs.append((c, top, end - 1))
-            top = col.find(0, end)
-    return runs
-
-
 def _pairings(flat, n: int) -> list[tuple]:
     """Every domino set of an unpaired grid, in :func:`canonical_key` order.
 
-    A set is the sorted tuple of its 1-based upper cells.  Any blank with a
-    blank below it may be an upper cell, but not together with that lower
-    cell; so a run of L blanks has F_L sets, and a grid the product of its
+    A set is the sorted tuple of its 1-based upper cells, each a blank with
+    a blank directly below, and no two of its dominoes share a cell.  So a
+    vertical run of L blanks has F_L sets, and a grid the product of its
     runs' sets.
     """
-    runs = _blank_runs(flat, n)
-    uppers = [(r + 1, c + 1) for c, top, bottom in runs for r in range(top, bottom)]
     sets = [()]
-    for r, c in sorted(uppers, reverse=True):
-        sets += [((r, c),) + rest for rest in sets if (r + 1, c) not in rest]
+    for i in reversed(range(len(flat) - n)):
+        if flat[i] == flat[i + n] == _B:
+            r, c = i // n + 1, i % n + 1
+            sets += [((r, c),) + rest for rest in sets if (r + 1, c) not in rest]
     return sorted(sets)
 
 
@@ -399,7 +382,10 @@ def diagram_from_text(text: str) -> Diagram:
     lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty diagram text")
-    n = int(lines[0])
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ValueError(f"size line {lines[0]!r} is not an integer") from None
     if n < 1:
         raise ValueError(f"diagram size {n} is not positive")
     if len(lines) < 1 + n:

@@ -297,8 +297,16 @@ def test_stats_perm_size_guard(capsys):
         (b"0\n", "size 0 is not positive"),
         (b"-1\nR\n", "size -1 is not positive"),
         (b"2\nRH\nVR\n1,2,3\n", "domino line '1,2,3' is not two integers"),
+        (b"3.0\nR\n", "size line '3.0' is not an integer"),
     ],
-    ids=["directory", "non-utf8", "size-0", "size-negative", "domino-3-values"],
+    ids=[
+        "directory",
+        "non-utf8",
+        "size-0",
+        "size-negative",
+        "domino-3-values",
+        "size-not-integer",
+    ],
 )
 def test_render_bad_file_exit_2(tmp_path, capsys, content, message):
     path = tmp_path
@@ -383,7 +391,7 @@ def test_full_stdout_exit_2(argv):
 def test_out_to_missing_directory_exit_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     code, out, err = run(capsys, "enum", "123", "--out", str(target))
-    assert code == 2
+    assert code == 2 and not out
     assert f"error: cannot write {target}: No such file or directory" in err
     assert not target.parent.exists()
 

@@ -8,7 +8,6 @@ from qbpd.analysis import weight_cells
 from qbpd.diagram import (
     Diagram,
     TileKind,
-    _blank_runs,
     _pairings,
     canonical_key,
     diagram_from_text,
@@ -80,16 +79,13 @@ def test_every_diagram_round_trips_and_keeps_degree(n):
     assert total == {1: 1, 2: 2, 3: 10, 4: 106, 5: 2356}[n]
 
 
-def test_blank_runs_reach_the_grid_edges():
+def test_pairings_reach_the_grid_edges():
     # column 1 is blank top to bottom, column 2 only in its bottom row
-    assert _blank_runs(bytes([0, 5, 0, 0]), 2) == [(0, 0, 1), (1, 1, 1)]
-    assert _blank_runs(bytes([1, 0, 0, 0, 0, 2, 0, 3, 0]), 3) == [
-        (0, 1, 2),
-        (1, 0, 1),
-        (2, 0, 0),
-        (2, 2, 2),
+    assert _pairings(bytes([0, 5, 0, 0]), 2) == [(), ((1, 1),)]
+    # a run down from the top of column 2 and one up from the bottom of column 1
+    assert _pairings(bytes([1, 0, 0, 0, 0, 2, 0, 3, 0]), 3) == [
+        (),
+        ((1, 2),),
+        ((1, 2), (2, 1)),
+        ((2, 1),),
     ]
-    # one column of any length, as the weight sum passes a column filling
-    assert _blank_runs(bytes([0, 0, 5, 0]), 1) == [(0, 0, 1), (0, 3, 3)]
-    assert _blank_runs(bytes([5, 0, 0]), 1) == [(0, 1, 2)]
-    assert _blank_runs(bytes([5, 3]), 1) == []
