@@ -266,8 +266,8 @@ def test_column_weight_counts_are_run_continuants_s7():
             t == TileKind.NS and climbed(tiles, r) for r, t in enumerate(tiles)
         )
         assert odd == (corners + climbs) % 2, (n, c, tiles)
-    # every packed term, q-part and parity, as the run-by-run continuants
-    # gave them; the order of terms within a part is not pinned
+    # every packed term, q-part, count and parity; the order of the terms
+    # within a part is not pinned
     digest = hashlib.md5(repr(exact).encode()).hexdigest()
     assert digest == "dea4bc64f760e945a6567411ce9c9bdf"
 
