@@ -14,27 +14,24 @@ import importlib
 
 __version__ = "0.1.0"
 
+# each module's ``__all__``
 _NAMES = {
     "analysis": """CancellationStats SweepSummary WeightCells bwt
-        cancellation_stats is_cancellation_free is_classical_bpd
-        qbpd_polynomial stats_for_group sweep verify_transition weight_cells
-        wt""",
+        cancellation_stats qbpd_polynomial stats_for_group summarize
+        verify_transition weight_cells""",
     "diagram": """Diagram TileKind canonical_key diagram_from_text
         diagram_to_text domino_pairings extract_permutation rothe_diagram
         validate""",
-    "columns": "column_enumerate",
     "moves": "enumerate_qbpds enumerate_unpaired",
-    "oracle": """divided_difference_chain double_schubert_defining
-        monk_residual q_interval quantum_double_schubert_defining
-        quantum_double_schubert_transition""",
+    "oracle": """monk_residual q_interval quantum_double_schubert_defining
+        quantum_double_schubert_transition transition_rhs""",
     "perm": """Permutation TransitionData embed enumerate_symmetric_group
         is_bruhat_cover is_quantum_lower length make_permutation
-        parse_permutation reduced_word right_multiply_transposition
-        transition_setup""",
+        parse_permutation right_multiply_transposition transition_setup""",
     "polyring": "Monomial Poly",
 }
 _EXPORTS = {name: mod for mod, names in _NAMES.items() for name in names.split()}
-_SUBMODULES = {*_NAMES, "cli", "errors", "render"}
+_SUBMODULES = {*_NAMES, "cli", "columns", "errors", "render"}
 
 __all__ = [*_EXPORTS, "__version__"]
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .diagram import _B, _NE, _SW, _X, S, Diagram, _valid_trace
-from .errors import OutOfRange, SizeLimit
+from .errors import OutOfRange
 from .columns import column_graph
 from .perm import Permutation, enumerate_symmetric_group, length
 from .polyring import Poly, _mac, _narrow
@@ -33,14 +33,10 @@ __all__ = [
     "SweepSummary",
     "weight_cells",
     "bwt",
-    "wt",
     "qbpd_polynomial",
     "cancellation_stats",
     "stats_for_group",
     "summarize",
-    "sweep",
-    "is_cancellation_free",
-    "is_classical_bpd",
     "verify_transition",
 ]
 
@@ -93,32 +89,16 @@ def weight_cells(D: Diagram) -> WeightCells:
     return WeightCells(E=E, Q=Q, NQ=NQ)
 
 
-def _weight(D: Diagram, e_factor) -> Poly:
-    """(-1)^{|NQ|} prod_{Q u NQ} q_i times ``e_factor(i, j, n)`` over E."""
+def bwt(D: Diagram) -> Poly:
+    """Binomial weight: (-1)^{|NQ|} prod_E (x_i - y_j) prod_{Q u NQ} q_i."""
     cells = weight_cells(D)
     n = D.n
     acc = Poly.const((-1) ** len(cells.NQ), n)
     for r, _ in sorted(cells.Q) + sorted(cells.NQ):
         acc = acc * Poly.q(r, n)
     for r, c in sorted(cells.E):
-        acc = acc * e_factor(r, c, n)
+        acc = acc * Poly.x_minus_y(r, c, n)
     return acc
-
-
-def bwt(D: Diagram) -> Poly:
-    """Binomial weight: (-1)^{|NQ|} prod_E (x_i - y_j) prod_{Q u NQ} q_i."""
-    return _weight(D, Poly.x_minus_y)
-
-
-def wt(D: Diagram) -> Poly:
-    """Monomial weight: prod_E x_i prod_Q q_i prod_NQ (-q_i)."""
-    return _weight(D, lambda i, j, n: Poly.x(i, n))
-
-
-def is_classical_bpd(D: Diagram) -> bool:
-    """True when the diagram uses no quantum features at all."""
-    cells = weight_cells(D)
-    return not cells.Q and not cells.NQ
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +263,6 @@ def cancellation_stats(w: Permutation) -> CancellationStats:
     )
 
 
-def is_cancellation_free(w: Permutation) -> bool:
-    return cancellation_stats(w).cancellations == 0
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -302,19 +278,17 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def stats_for_group(n: int, jobs: int | None = None, force: bool = False):
+def stats_for_group(n: int, jobs: int | None = None):
     """CancellationStats for every w in S_n, in lexicographic order.
 
     Workers take one permutation at a time, longest first, and the light
     rows fill in around the heavy ones.  Length ranks row cost only
     loosely (Spearman rho 0.69 over S_6, where w_0 is no longer the
     heaviest row), but no order tried on measured row times finishes S_6
-    sooner on two workers.  Workers ignore SIGINT, so an interrupt
-    reaches only this process, and leaving the pool's block terminates
-    them.
+    sooner on two workers.  SIGINT and SIGTERM, raised in this thread,
+    leave the pool's block, which terminates the workers.  The size of a
+    sweep is the caller's to bound.
     """
-    if n > 6 and not force:
-        raise SizeLimit("sweeps above S_6 must be forced explicitly")
     jobs = resolve_jobs(jobs)
     order = sorted(enumerate_symmetric_group(n), key=length, reverse=True)
     if jobs == 1 or len(order) < 4:
@@ -323,11 +297,23 @@ def stats_for_group(n: int, jobs: int | None = None, force: bool = False):
         import multiprocessing
         import signal
 
-        with multiprocessing.Pool(
-            jobs, signal.signal, (signal.SIGINT, signal.SIG_IGN)
-        ) as pool:
+        # pool threads and workers start with both blocked: a signal that a
+        # pool thread took would wait for pool.map before its handler ran
+        stop = {signal.SIGINT, signal.SIGTERM}
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, stop)
+        with multiprocessing.Pool(jobs, _worker_signals) as pool:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
             rows = pool.map(cancellation_stats, order, chunksize=1)
     return sorted(rows, key=lambda s: s.perm.images)
+
+
+def _worker_signals():
+    """Leave SIGINT to the parent; end at the SIGTERM of ``Pool.terminate``."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
 
 def summarize(n: int, rows) -> SweepSummary:
@@ -345,11 +331,6 @@ def summarize(n: int, rows) -> SweepSummary:
         max_cancellations=best.cancellations,
         argmax=best.perm,
     )
-
-
-def sweep(n: int, jobs: int | None = None, force: bool = False) -> SweepSummary:
-    """Aggregate cancellation statistics over S_n."""
-    return summarize(n, stats_for_group(n, jobs=jobs, force=force))
 
 
 # ---------------------------------------------------------------------------

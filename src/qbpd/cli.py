@@ -5,9 +5,10 @@ the three routes), ``stats`` (cancellation statistics and sweeps),
 ``verify`` (invariant suites) and ``render`` (ASCII/SVG drawings).
 
 Exit codes: 0 success, 1 a verification failed, 2 usage or parse error,
-130 interrupted (Ctrl-C), with ``interrupted`` as the one stderr line.
-A reader that closes stdout early ends the command quietly with 0, and
-any other failure to write stdout exits 2.  Each verb, ``poly`` mode and
+a size that needs ``--force`` or a run out of memory, 130 interrupted
+(Ctrl-C) and 143 terminated (SIGTERM), each word the one stderr line.  A
+reader that closes stdout early ends the command quietly with 0, and any
+other failure to write stdout exits 2.  Each verb, ``poly`` mode and
 ``verify`` check imports only the modules it runs, when it runs.
 """
 
@@ -18,18 +19,22 @@ import math
 import os
 import sys
 
-from .errors import NotABijection, OutOfRange, SizeLimit
+from .errors import NotABijection, OutOfRange, SizeLimit, Terminated
 from .perm import Permutation, embed, enumerate_symmetric_group, parse_permutation
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 INTERRUPTED = 130
+TERMINATED = 143
 
 
 def _size_guard(args, n: int):
-    """n above 7 must be forced with ``--force``, like large sweeps."""
-    if n > 7 and not args.force:
-        raise SizeLimit(f"{args.verb} with n = {n} > 7 must be forced with --force")
+    """Sweeps above S_6, and any other n above 7, must be forced with ``--force``."""
+    limit = 6 if args.verb == "stats" and args.perm is None else 7
+    if n > limit and not args.force:
+        raise SizeLimit(
+            f"{args.verb} with n = {n} > {limit} must be forced with --force"
+        )
 
 
 def _sized_perm(args, text: str) -> Permutation:
@@ -110,7 +115,7 @@ def cmd_stats(args) -> int:
     if (args.n is None) == (args.perm is None):
         print("error: give exactly one of --n or --perm", file=sys.stderr)
         return USAGE_ERROR
-    if args.perm:
+    if args.perm is not None:
         s = analysis.cancellation_stats(_sized_perm(args, args.perm))
         if args.format == "csv":
             _write(f"{CSV_HEADER}\n{s.perm.to_text()},{_stats_text(s)}\n", args.out)
@@ -119,8 +124,9 @@ def cmd_stats(args) -> int:
         else:
             _write(_stats_text(s) + "\n", args.out)
         return 0
-    # SizeLimit and OutOfRange (bad worker counts) exit 2 through main
-    rows = analysis.stats_for_group(args.n, jobs=args.jobs, force=args.force)
+    _size_guard(args, args.n)
+    # OutOfRange (n < 1, bad worker counts) exits 2 through main
+    rows = analysis.stats_for_group(args.n, jobs=args.jobs)
     summary = analysis.summarize(args.n, rows)
     if args.format == "csv":
         lines = [CSV_HEADER]
@@ -294,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("perm")
     p.add_argument("--unpaired", action="store_true", help="skip domino pairings")
     p.add_argument("--count", action="store_true", help="print the count only")
-    p.add_argument("--force", action="store_true", help="allow n > 7")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_enum)
 
@@ -305,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--specialize", help="comma-separated families to zero: y,q")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--force", action="store_true", help="allow n > 7")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_poly)
 
@@ -313,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--perm")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--force", action="store_true", help="allow --n > 6, --perm n > 7")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_stats)
 
@@ -325,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--sample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--force", action="store_true", help="allow n > 7")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("render", help="draw a diagram")
@@ -333,13 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p.add_argument("--index", type=int, default=1, help="1-based, canonical order")
     p.add_argument("--unpaired", action="store_true")
-    p.add_argument("--force", action="store_true", help="allow n > 7")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_render)
+    for p in sub.choices.values():
+        p.add_argument("--force", action="store_true", help="allow n > 7, stats --n > 6")
     return ap
 
 
 def main(argv=None) -> int:
+    args = None
     try:
         args = build_parser().parse_args(argv)
         code = args.fn(args)
@@ -348,9 +352,14 @@ def main(argv=None) -> int:
     except (NotABijection, OutOfRange, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Terminated:
+        print("terminated", file=sys.stderr)
+        return TERMINATED
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return INTERRUPTED
+    except MemoryError:
+        pass  # reported below, once the handler has let go of the run's frames
     except OSError as exc:
         # every file a verb opens has its own handler, so this is stdout's;
         # the flush at exit goes to devnull
@@ -359,6 +368,8 @@ def main(argv=None) -> int:
             return 0  # the reader has all it wants
         print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return USAGE_ERROR
+    print(f"error: {args.verb if args else 'qbpd'} ran out of memory", file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

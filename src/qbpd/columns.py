@@ -20,19 +20,18 @@ fillings along a path from the east edge to the west edge are the columns
 of one unpaired diagram of w, and every unpaired diagram is one such path.
 :func:`flat_diagrams` walks the paths for ``enum`` and ``render``, and the
 weight sum in ``analysis`` runs a dynamic program over the same graph.  The
-graph never uses droop or lift moves, so :func:`column_enumerate` and the
-move closure in ``moves`` are independent checks of each other.
+graph never uses droop or lift moves, so the walk and the move closure in
+``moves`` are independent checks of each other.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagram import _B, _ES, _EW, _NE, _NS, _SW, _WN, _X, Diagram, _pairings
-from .errors import SizeLimit
+from .diagram import _B, _ES, _EW, _NE, _NS, _SW, _WN, _X, _pairings
 from .perm import Permutation
 
-__all__ = ["column_graph", "flat_diagrams", "column_enumerate"]
+__all__: list[str] = []  # both functions trade in raw tile bytes
 
 _FREE, _DOWN, _UP = 0, 1, 2
 
@@ -158,15 +157,3 @@ def flat_diagrams(w: Permutation, unpaired: bool = False):
     if unpaired:
         return [(tiles, ()) for tiles in tilings]
     return [(tiles, dominoes) for tiles in tilings for dominoes in _pairings(tiles, n)]
-
-
-def column_enumerate(w: Permutation) -> set[Diagram]:
-    """All diagrams of w from the column-state graph (n <= 7).
-
-    The :class:`Diagram` objects of :func:`flat_diagrams`.  Independent of
-    the move closure, of which it is the completeness oracle.
-    """
-    n = w.n
-    if n > 7:
-        raise SizeLimit("column enumeration is limited to n <= 7")
-    return {Diagram.from_flat(n, tiles, doms) for tiles, doms in flat_diagrams(w)}

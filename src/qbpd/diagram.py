@@ -34,7 +34,6 @@ __all__ = [
     "extract_permutation",
     "domino_pairings",
     "canonical_key",
-    "flat_text",
     "diagram_to_text",
     "diagram_from_text",
 ]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import mul
-from typing import Sequence
 
 from .errors import OutOfRange
 from .perm import (
@@ -48,12 +47,10 @@ from .polyring import Poly
 
 __all__ = [
     "quantum_double_schubert_defining",
-    "double_schubert_defining",
     "q_interval",
     "monk_residual",
     "quantum_double_schubert_transition",
     "transition_rhs",
-    "divided_difference_chain",
 ]
 
 
@@ -111,23 +108,6 @@ def quantum_double_schubert_defining(w: Permutation) -> Poly:
     # the blocks are smaller than their product, so they are embedded first
     poly = _product((p.embed(w.n) for _, p in _chain(images)), w.n)
     return poly if (m * (m - 1) // 2 - length(w)) % 2 == 0 else -poly
-
-
-def double_schubert_defining(w: Permutation) -> Poly:
-    """Classical double Schubert polynomial of w (the q = 0 specialization)."""
-    return quantum_double_schubert_defining(w).specialize(zero_q=True)
-
-
-def divided_difference_chain(f: Poly, word: Sequence[int]) -> Poly:
-    """Apply the divided-difference operator of a word, rightmost letter first.
-
-    For word (a_1, ..., a_k) this computes d_{a_1} ... d_{a_k} f, which
-    depends only on the permutation s_{a_1} ... s_{a_k} when the word is
-    reduced (nilpotence and the braid relations).
-    """
-    for a in reversed(word):
-        f = f.divided_difference_y(a)
-    return f
 
 
 def q_interval(c: int, d: int, n: int) -> Poly:

@@ -28,7 +28,6 @@ __all__ = [
     "transition_setup",
     "embed",
     "enumerate_symmetric_group",
-    "reduced_word",
 ]
 
 
@@ -236,23 +235,3 @@ def enumerate_symmetric_group(n: int) -> Iterator[Permutation]:
         raise OutOfRange("n must be >= 1")
     for images in itertools.permutations(range(1, n + 1)):
         yield Permutation(images)
-
-
-def reduced_word(w: Permutation) -> tuple[int, ...]:
-    """One reduced word (a_1, ..., a_k) with w = s_{a_1} ... s_{a_k}.
-
-    Produced by repeatedly removing the first descent; the word has
-    length(w) letters.
-    """
-    images = list(w.images)
-    rev = []
-    while True:
-        i = next(
-            (i for i in range(1, len(images)) if images[i - 1] > images[i]),
-            None,
-        )
-        if i is None:
-            break
-        images[i - 1], images[i] = images[i], images[i - 1]
-        rev.append(i)
-    return tuple(reversed(rev))

@@ -122,9 +122,6 @@ class Monomial(NamedTuple):
     def flat(self) -> tuple[int, ...]:
         return self.xexp + self.yexp + self.qexp
 
-    def quantum_degree(self) -> int:
-        return sum(self.xexp) + sum(self.yexp) + 2 * sum(self.qexp)
-
 
 class Poly:
     """Immutable sparse polynomial with exact integer coefficients."""
@@ -304,9 +301,6 @@ class Poly:
     def counts(self) -> tuple[int, int]:
         """(number of stored terms, sum of absolute coefficient values)."""
         return len(self._terms), sum(abs(c) for c in self._terms.values())
-
-    def quantum_degrees(self) -> set[int]:
-        return {m.quantum_degree() for m in self.terms()}
 
     def embed(self, N: int) -> "Poly":
         """Include into the ring with ambient size N >= n."""

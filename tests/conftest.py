@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qbpd.columns import flat_diagrams
 from qbpd.diagram import Diagram, diagram_from_text
 from qbpd.perm import Permutation, make_permutation
 from qbpd.polyring import Poly
@@ -32,6 +33,43 @@ def cycle_down(t: int, k: int, n: int) -> Permutation:
     for j in range(t + 1, t + k + 1):
         images[j - 1] = j - 1
     return make_permutation(images)
+
+
+def reduced_word(w: Permutation) -> tuple[int, ...]:
+    """One reduced word (a_1, ..., a_k) with w = s_{a_1} ... s_{a_k}.
+
+    Produced by repeatedly removing the first descent; the word has
+    length(w) letters.
+    """
+    images = list(w.images)
+    rev = []
+    while True:
+        i = next(
+            (i for i in range(1, len(images)) if images[i - 1] > images[i]),
+            None,
+        )
+        if i is None:
+            break
+        images[i - 1], images[i] = images[i], images[i - 1]
+        rev.append(i)
+    return tuple(reversed(rev))
+
+
+def divided_difference_chain(f: Poly, word) -> Poly:
+    """Apply the divided-difference operator of a word, rightmost letter first.
+
+    For word (a_1, ..., a_k) this computes d_{a_1} ... d_{a_k} f, which
+    depends only on the permutation s_{a_1} ... s_{a_k} when the word is
+    reduced (nilpotence and the braid relations).
+    """
+    for a in reversed(word):
+        f = f.divided_difference_y(a)
+    return f
+
+
+def column_diagrams(w: Permutation) -> set[Diagram]:
+    """The diagrams of w on the paths of the column-state graph, as objects."""
+    return {Diagram.from_flat(w.n, tiles, doms) for tiles, doms in flat_diagrams(w)}
 
 
 # The non-example grid: the pipe entering on row 3 moves rightward through

@@ -15,20 +15,16 @@ from qbpd.analysis import (
     WeightCells,
     bwt,
     cancellation_stats,
-    is_cancellation_free,
-    is_classical_bpd,
     qbpd_polynomial,
     stats_for_group,
-    sweep,
+    summarize,
     verify_transition,
     weight_cells,
-    wt,
 )
 from qbpd.diagram import Diagram, rothe_diagram
-from qbpd.errors import IdentityPermutation, InvalidDiagram, SizeLimit
+from qbpd.errors import IdentityPermutation, InvalidDiagram
 from qbpd.moves import enumerate_qbpds
 from qbpd.oracle import (
-    double_schubert_defining,
     quantum_double_schubert_defining,
     quantum_double_schubert_transition,
 )
@@ -71,6 +67,11 @@ def test_weight_cells_requires_valid():
         weight_cells(bad)
 
 
+def wt(D):
+    """Monomial weight: prod_E x_i prod_Q q_i prod_NQ (-q_i)."""
+    return bwt(D).specialize(zero_y=True)
+
+
 def test_wt():
     R = rothe_diagram(make_permutation([4, 2, 1, 3]))
     x = Poly.x(1, 4)
@@ -80,9 +81,16 @@ def test_wt():
 
 
 def test_wt_matches_specialized_bwt():
+    # the monomial weight from the cells, against bwt at y = 0
     for w in enumerate_symmetric_group(3):
         for D in enumerate_qbpds(w):
-            assert wt(D) == bwt(D).specialize(zero_y=True)
+            cells = weight_cells(D)
+            expect = Poly.const((-1) ** len(cells.NQ), w.n)
+            for r, _ in sorted(cells.Q) + sorted(cells.NQ):
+                expect = expect * Poly.q(r, w.n)
+            for r, _ in sorted(cells.E):
+                expect = expect * Poly.x(r, w.n)
+            assert wt(D) == expect
 
 
 def test_wt_12543_domino_diagram():
@@ -145,14 +153,12 @@ def test_cancellation_stats_consistency():
 
 
 def test_sweep_small():
-    assert sweep(3, jobs=1).total == 0
-    s4 = sweep(4, jobs=1)
+    assert summarize(3, stats_for_group(3, jobs=1)).total == 0
+    s4 = summarize(4, stats_for_group(4, jobs=1))
     assert s4.total == 5
     assert s4.max_cancellations == 2
     assert s4.argmax.images == (4, 1, 3, 2)
     assert abs(s4.average - 5 / 24) < 1e-12
-    with pytest.raises(SizeLimit):
-        sweep(7, jobs=1)
 
 
 def test_stats_for_group_lex_order():
@@ -308,21 +314,29 @@ def test_packed_field_width_bound_w0_s4():
 
 
 def test_is_cancellation_free():
-    assert is_cancellation_free(make_permutation([5, 4, 3, 2, 1]))
-    assert is_cancellation_free(make_permutation([1, 3, 4, 2]))
-    assert not is_cancellation_free(make_permutation([4, 1, 3, 2]))
-    assert is_cancellation_free(cycle_up(2, 2, 4))
-    assert is_cancellation_free(cycle_down(2, 2, 4))
+    def cancellation_free(w):
+        return cancellation_stats(w).cancellations == 0
+
+    assert cancellation_free(make_permutation([5, 4, 3, 2, 1]))
+    assert cancellation_free(make_permutation([1, 3, 4, 2]))
+    assert not cancellation_free(make_permutation([4, 1, 3, 2]))
+    assert cancellation_free(cycle_up(2, 2, 4))
+    assert cancellation_free(cycle_down(2, 2, 4))
 
 
 def test_is_classical_bpd():
-    pool = enumerate_qbpds(make_permutation([2, 1, 4, 3]))
-    classical = [D for D in pool if is_classical_bpd(D)]
+    # a classical BPD has no q factor: no Q and no NQ cell
+    w = make_permutation([2, 1, 4, 3])
+    classical = []
+    for D in enumerate_qbpds(w):
+        cells = weight_cells(D)
+        if not cells.Q and not cells.NQ:
+            classical.append(D)
     assert len(classical) == 3
     total = Poly.zero(4)
     for D in classical:
         total = total + bwt(D)
-    assert total == double_schubert_defining(make_permutation([2, 1, 4, 3]))
+    assert total == quantum_double_schubert_defining(w).specialize(zero_q=True)
 
 
 def test_verify_transition_examples():
@@ -374,7 +388,7 @@ def test_records_keep_their_fields():
         "n", "total", "average", "max_cancellations", "argmax"
     )
     identity = make_permutation([1, 2, 3])
-    assert sweep(3) == SweepSummary(
+    assert summarize(3, stats_for_group(3, jobs=2)) == SweepSummary(
         n=3, total=0, average=0.0, max_cancellations=0, argmax=identity
     )
     assert WeightCells._fields == ("E", "Q", "NQ")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 
 import pytest
 
@@ -200,6 +201,96 @@ def test_render_file_off_grid_domino(tmp_path, capsys):
     code, out, err = run(capsys, "render", str(path))
     assert code == 2 and out == ""
     assert "domino at (5,5) out of bounds" in err
+
+
+def test_no_traceback_on_mutated_diagram_files(tmp_path, capsys):
+    # seeded edits of the grid and domino lines of an ``enum 4213`` file;
+    # the size lines stay, so every run is a 4 x 4 render
+    import random
+
+    path = tmp_path / "d.txt"
+    assert run(capsys, "enum", "4213", "--out", str(path))[0] == 0
+    lines = path.read_bytes().split(b"\n")
+    editable = [k for k, line in enumerate(lines) if line not in (b"", b"4")]
+    alphabet = [bytes([b]) for b in b".RJSNHVC,-0123456789 x\t"]
+    alphabet += ["\u00e9".encode(), "\u0663".encode(), b"\xff"]
+    rng = random.Random(26)
+    codes = []
+    for _ in range(400):
+        mutated = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            k = rng.choice(editable)
+            line = mutated[k]
+            i = rng.randrange(len(line) + 1)
+            edit = rng.randrange(4)
+            if edit == 0:  # replace a character
+                line = line[:i] + rng.choice(alphabet) + line[i + 1 :]
+            elif edit == 1:  # insert one
+                line = line[:i] + rng.choice(alphabet) + line[i:]
+            elif edit == 2:  # delete one
+                line = line[:i] + line[i + 1 :]
+            else:  # repeat the line, or drop it
+                line = rng.choice([line + b"\n" + line, b""])
+            mutated[k] = line
+        path.write_bytes(b"\n".join(mutated))
+        code, out, err = run(capsys, "render", str(path))
+        assert code in (0, 1, 2), (mutated, code, err)
+        if code == 2:
+            assert out == "" and err.startswith("error: "), (mutated, out, err)
+        codes.append(code)
+    assert 0 in codes and 2 in codes
+
+
+def test_no_traceback_on_odd_command_lines(tmp_path, capsys):
+    odd = [
+        ["poly", "\u0663\u0661\u0662"],  # Unicode digits read as 312
+        ["poly", ""],
+        ["enum", " "],
+        ["stats", "--perm", ""],
+        ["stats", "--n", "0"],
+        ["stats", "--n", "-3"],
+        ["verify", "theorem", "--n", "0"],
+        ["verify", "closure", "--n", "0", "--sample", "3"],
+        ["render", "4213", "--index", "12345678901234567890"],
+        ["render", "4213", "--index", "-1"],
+        ["render", str(tmp_path)],
+        ["render", ""],
+        ["--jobs", "-1", "stats", "--n", "3"],
+        ["poly", "21", "--specialize", ","],
+    ]
+    for argv in odd:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        if code == 2:
+            assert out == "", (argv, out)
+    assert run(capsys, "poly", "\u0663\u0661\u0662")[1] == run(capsys, "poly", "312")[1]
+
+
+def test_out_of_memory_exits_2():
+    # the weight sum of an S_8 row outgrows a 300 MiB address space in
+    # about 3 s; the run ends with one line, not a MemoryError traceback
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qbpd
+
+    resource = pytest.importorskip("resource")
+    src = str(Path(qbpd.__file__).resolve().parent.parent)
+    child = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+        "sys.argv = ['qbpd', 'poly', '87654321', '--force']\n"
+        "runpy.run_module('qbpd', run_name='__main__')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == b"error: poly ran out of memory\n"
 
 
 def test_render_file_invalid_tiling(tmp_path, capsys):
@@ -551,12 +642,19 @@ def test_python_m_qbpd():
     assert result.returncode == 2 and result.stderr.startswith("error:")
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_interrupted_sweep_ends_quietly(jobs):
-    # the forced S_7 sweep runs for minutes, so SIGINT lands mid-row; the
-    # command and its workers share a new process group, which must be
-    # empty once the command has exited
-    import signal
+@pytest.mark.parametrize(
+    "jobs, signum, to_group",
+    [
+        pytest.param("1", signal.SIGINT, True, id="1"),
+        pytest.param("2", signal.SIGINT, True, id="2"),
+        pytest.param("2", signal.SIGTERM, False, id="2-sigterm-parent"),
+        pytest.param("2", signal.SIGTERM, True, id="2-sigterm-group"),
+    ],
+)
+def test_interrupted_sweep_ends_quietly(jobs, signum, to_group):
+    # the forced S_7 sweep runs for minutes, so the signal lands mid-row;
+    # the command and its workers share a new process group, which must be
+    # empty once the command has exited.  SIGTERM ends it as SIGINT does.
     import subprocess
     import sys
     import time
@@ -575,7 +673,10 @@ def test_interrupted_sweep_ends_quietly(jobs):
     )
     try:
         time.sleep(1)
-        os.killpg(proc.pid, signal.SIGINT)
+        if to_group:
+            os.killpg(proc.pid, signum)
+        else:
+            os.kill(proc.pid, signum)
         try:
             out, err = proc.communicate(timeout=30)
         except subprocess.TimeoutExpired:
@@ -586,9 +687,12 @@ def test_interrupted_sweep_ends_quietly(jobs):
             except subprocess.TimeoutExpired:
                 os.killpg(proc.pid, signal.SIGKILL)
                 err = proc.communicate()[1]
-            pytest.fail("no exit 30 s after SIGINT:\n" + err.decode(errors="replace"))
-        assert proc.returncode == 130
-        assert out == b"" and err == b"interrupted\n"
+            pytest.fail(f"no exit 30 s after {signum!r}:\n" + err.decode(errors="replace"))
+        if signum == signal.SIGINT:
+            assert (proc.returncode, err) == (130, b"interrupted\n")
+        else:
+            assert (proc.returncode, err) == (143, b"terminated\n")
+        assert out == b""
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
     finally:
@@ -599,8 +703,8 @@ def test_interrupted_sweep_ends_quietly(jobs):
         proc.wait()
 
 
-def test_interrupt_during_startup_ends_quietly():
-    # SIGINT lands while ``python -m qbpd`` is still importing the command
+def signal_during_startup(signum):
+    """``python -m qbpd enum`` sent ``signum`` while it imports the command."""
     import subprocess
     import sys
     from pathlib import Path
@@ -613,15 +717,25 @@ def test_interrupt_during_startup_ends_quietly():
         "class Interrupt:\n"
         "    def find_spec(self, name, path=None, target=None):\n"
         "        if name == 'qbpd.perm':\n"
-        "            os.kill(os.getpid(), signal.SIGINT)\n"
+        f"            os.kill(os.getpid(), {int(signum)})\n"
         "sys.meta_path.insert(0, Interrupt())\n"
         "sys.argv = ['qbpd', 'enum', '4213', '--count']\n"
         "runpy.run_module('qbpd', run_name='__main__')\n"
     )
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", child],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
+
+
+def test_interrupt_during_startup_ends_quietly():
+    result = signal_during_startup(signal.SIGINT)
     assert result.returncode == 130
     assert result.stdout == b"" and result.stderr == b"interrupted\n"
+
+
+def test_sigterm_during_startup_ends_quietly():
+    result = signal_during_startup(signal.SIGTERM)
+    assert result.returncode == 143
+    assert result.stdout == b"" and result.stderr == b"terminated\n"

@@ -10,17 +10,19 @@ from qbpd.analysis import (
     cancellation_stats,
     weight_cells,
 )
-from qbpd.columns import _column_moves, column_enumerate, column_graph, flat_diagrams
+from qbpd.columns import _column_moves, column_graph, flat_diagrams
 from qbpd.moves import _closure, enumerate_qbpds
 from qbpd.oracle import quantum_double_schubert_transition
 from qbpd.perm import enumerate_symmetric_group, make_permutation, parse_permutation
 from qbpd.polyring import Poly, _narrow
 
+from conftest import column_diagrams
+
 
 def test_column_enumerate_equals_closure_s6():
     for n in range(1, 7):
         for w in enumerate_symmetric_group(n):
-            assert column_enumerate(w) == enumerate_qbpds(w), w
+            assert column_diagrams(w) == enumerate_qbpds(w), w
 
 
 def test_walk_tilings_equal_closure_s7_sample_and_s8():

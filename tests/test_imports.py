@@ -16,15 +16,13 @@ import qbpd
 EXPORTED = """
     CancellationStats Diagram Monomial Permutation Poly SweepSummary TileKind
     TransitionData WeightCells bwt cancellation_stats canonical_key
-    column_enumerate diagram_from_text diagram_to_text divided_difference_chain
-    domino_pairings double_schubert_defining embed enumerate_qbpds
+    diagram_from_text diagram_to_text domino_pairings embed enumerate_qbpds
     enumerate_symmetric_group enumerate_unpaired extract_permutation
-    is_bruhat_cover is_cancellation_free is_classical_bpd is_quantum_lower
-    length make_permutation monk_residual parse_permutation q_interval
-    qbpd_polynomial quantum_double_schubert_defining
-    quantum_double_schubert_transition reduced_word
-    right_multiply_transposition rothe_diagram stats_for_group sweep
-    transition_setup validate verify_transition weight_cells wt
+    is_bruhat_cover is_quantum_lower length make_permutation monk_residual
+    parse_permutation q_interval qbpd_polynomial
+    quantum_double_schubert_defining quantum_double_schubert_transition
+    right_multiply_transposition rothe_diagram stats_for_group summarize
+    transition_rhs transition_setup validate verify_transition weight_cells
 """.split()
 
 
@@ -90,23 +88,38 @@ def test_import_loads_no_dataclasses_or_inspect(statement):
 
 
 def test_every_exported_name_resolves():
-    assert len(EXPORTED) == 45
+    assert len(EXPORTED) == 39
     for name in EXPORTED:
         exec(f"from qbpd import {name}", {})
         assert name in qbpd.__all__
+    assert sorted(qbpd.__all__) == sorted([*EXPORTED, "__version__"])
     assert qbpd.__version__ == "0.1.0"
     assert qbpd.polyring.Poly is qbpd.Poly
 
 
 def test_move_lookup_pipe_records_and_embedding_are_not_exported():
     removed = """PipeStep PipeTrace RectMove apply_droop apply_lift embed_diagram
-        restrict_diagram trace_pipes""".split()
+        restrict_diagram trace_pipes wt is_cancellation_free is_classical_bpd
+        sweep double_schubert_defining divided_difference_chain reduced_word
+        column_enumerate""".split()
     for name in removed:
         assert name not in qbpd.__all__
         with pytest.raises(AttributeError):
             getattr(qbpd, name)
+    for mod in ("analysis", "columns", "diagram", "moves", "oracle", "perm"):
+        module = importlib.import_module(f"qbpd.{mod}")
+        assert not set(removed) & set(vars(module)), mod
     for name in ("TracingStuck", "NotRestrictable", "MoveRejected"):
         assert not hasattr(qbpd.errors, name)
+
+
+def test_export_lists_agree():
+    # each module's __all__ is what the package resolves from it
+    for mod, names in qbpd._NAMES.items():
+        module = importlib.import_module(f"qbpd.{mod}")
+        assert set(names.split()) == set(module.__all__), mod
+    # the column graph trades in raw tile bytes
+    assert qbpd.columns.__all__ == []
 
 
 def test_module_examples_pass():

@@ -14,10 +14,11 @@ from qbpd.perm import (
     length,
     make_permutation,
     parse_permutation,
-    reduced_word,
     right_multiply_transposition,
     transition_setup,
 )
+
+from conftest import reduced_word
 
 
 def brute_inversions(images):

@@ -106,7 +106,6 @@ def test_embed():
 def test_monomial_flat_round_trip():
     m = Monomial((1, 0), (0, 2), (3,))
     assert Monomial.from_flat(m.flat(), 2) == m
-    assert m.quantum_degree() == 1 + 2 + 6
 
 
 def test_divided_difference_random_properties():
