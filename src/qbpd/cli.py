@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_render)
     for p in sub.choices.values():
-        p.add_argument("--force", action="store_true", help="allow n > 7, stats --n > 6")
+        p.add_argument("--force", action="store_true", help="allow n > 7, sweeps > 6")
     return ap
 
 

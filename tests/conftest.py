@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qbpd.analysis import cancellation_stats
 from qbpd.columns import flat_diagrams
 from qbpd.diagram import Diagram, diagram_from_text
 from qbpd.perm import Permutation, make_permutation
@@ -65,6 +66,10 @@ def divided_difference_chain(f: Poly, word) -> Poly:
     for a in reversed(word):
         f = f.divided_difference_y(a)
     return f
+
+
+def cancellation_free(w: Permutation) -> bool:
+    return cancellation_stats(w).cancellations == 0
 
 
 def column_diagrams(w: Permutation) -> set[Diagram]:

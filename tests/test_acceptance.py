@@ -26,7 +26,13 @@ from qbpd.oracle import (
 from qbpd.perm import embed, enumerate_symmetric_group, length, make_permutation
 from qbpd.polyring import Poly
 
-from conftest import column_diagrams, cycle_down, cycle_up, random_poly
+from conftest import (
+    cancellation_free,
+    column_diagrams,
+    cycle_down,
+    cycle_up,
+    random_poly,
+)
 
 
 def report(criterion, ok):
@@ -188,9 +194,6 @@ def test_c09_specializations():
 
 
 def test_c10_cancellation_free_classes():
-    def cancellation_free(w):
-        return cancellation_stats(w).cancellations == 0
-
     ok = True
     for n in (3, 4, 5, 6):
         ok = ok and cancellation_free(make_permutation(range(n, 0, -1)))

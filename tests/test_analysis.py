@@ -36,7 +36,7 @@ from qbpd.perm import (
 )
 from qbpd.polyring import Poly, _narrow
 
-from conftest import cycle_down, cycle_up
+from conftest import cancellation_free, cycle_down, cycle_up
 
 
 def test_weight_cells_rothe_4213():
@@ -314,9 +314,6 @@ def test_packed_field_width_bound_w0_s4():
 
 
 def test_is_cancellation_free():
-    def cancellation_free(w):
-        return cancellation_stats(w).cancellations == 0
-
     assert cancellation_free(make_permutation([5, 4, 3, 2, 1]))
     assert cancellation_free(make_permutation([1, 3, 4, 2]))
     assert not cancellation_free(make_permutation([4, 1, 3, 2]))

@@ -687,7 +687,8 @@ def test_interrupted_sweep_ends_quietly(jobs, signum, to_group):
             except subprocess.TimeoutExpired:
                 os.killpg(proc.pid, signal.SIGKILL)
                 err = proc.communicate()[1]
-            pytest.fail(f"no exit 30 s after {signum!r}:\n" + err.decode(errors="replace"))
+            trace = err.decode(errors="replace")
+            pytest.fail(f"no exit 30 s after {signum!r}:\n{trace}")
         if signum == signal.SIGINT:
             assert (proc.returncode, err) == (130, b"interrupted\n")
         else:
