@@ -17,15 +17,14 @@ the sum runs as a dynamic program over the column-state graph of
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import NamedTuple
 
 from .diagram import _B, _NE, _SW, _X, S, Diagram, _valid_trace
-from .errors import OutOfRange
 from .columns import column_graph
-from .perm import Permutation, enumerate_symmetric_group, length
+from .perm import Permutation, enumerate_symmetric_group
 from .polyring import Poly, _mac, _narrow
+from .rows import map_rows
 
 __all__ = [
     "WeightCells",
@@ -267,53 +266,12 @@ def cancellation_stats(w: Permutation) -> CancellationStats:
 # sweeps
 
 
-def resolve_jobs(jobs: int | None) -> int:
-    """Worker count: ``jobs``, else the CPUs this process may use."""
-    if jobs is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if jobs < 1:
-        raise OutOfRange(f"jobs must be a positive integer, got {jobs!r}")
-    return jobs
-
-
 def stats_for_group(n: int, jobs: int | None = None):
     """CancellationStats for every w in S_n, in lexicographic order.
 
-    Workers take one permutation at a time, longest first, and the light
-    rows fill in around the heavy ones.  Length ranks row cost only
-    loosely (Spearman rho 0.69 over S_6, where w_0 is no longer the
-    heaviest row), but no order tried on measured row times finishes S_6
-    sooner on two workers.  SIGINT and SIGTERM, raised in this thread,
-    leave the pool's block, which terminates the workers.  The size of a
-    sweep is the caller's to bound.
+    Rows run on ``jobs`` workers (``rows.map_rows``); the caller bounds n.
     """
-    jobs = resolve_jobs(jobs)
-    order = sorted(enumerate_symmetric_group(n), key=length, reverse=True)
-    if jobs == 1 or len(order) < 4:
-        rows = list(map(cancellation_stats, order))
-    else:
-        import multiprocessing
-        import signal
-
-        # pool threads and workers start with both blocked: a signal that a
-        # pool thread took would wait for pool.map before its handler ran
-        stop = {signal.SIGINT, signal.SIGTERM}
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, stop)
-        with multiprocessing.Pool(jobs, _worker_signals) as pool:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            rows = pool.map(cancellation_stats, order, chunksize=1)
-    return sorted(rows, key=lambda s: s.perm.images)
-
-
-def _worker_signals():
-    """Leave SIGINT to the parent; end at the SIGTERM of ``Pool.terminate``."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+    return map_rows(cancellation_stats, enumerate_symmetric_group(n), jobs)
 
 
 def summarize(n: int, rows) -> SweepSummary:

@@ -9,7 +9,8 @@ a size that needs ``--force`` or a run out of memory, 130 interrupted
 (Ctrl-C) and 143 terminated (SIGTERM), each word the one stderr line.  A
 reader that closes stdout early ends the command quietly with 0, and any
 other failure to write stdout exits 2.  Each verb, ``poly`` mode and
-``verify`` check imports only the modules it runs, when it runs.
+``verify`` check imports only the modules it runs, when it runs.  ``--jobs``
+sets the worker processes of ``stats --n`` and of every ``verify`` check.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 
 from .errors import NotABijection, OutOfRange, SizeLimit, Terminated
 from .perm import Permutation, embed, enumerate_symmetric_group, parse_permutation
@@ -125,7 +127,6 @@ def cmd_stats(args) -> int:
             _write(_stats_text(s) + "\n", args.out)
         return 0
     _size_guard(args, args.n)
-    # OutOfRange (n < 1, bad worker counts) exits 2 through main
     rows = analysis.stats_for_group(args.n, jobs=args.jobs)
     summary = analysis.summarize(args.n, rows)
     if args.format == "csv":
@@ -133,20 +134,15 @@ def cmd_stats(args) -> int:
         lines += [f"{s.perm.to_text()},{_stats_text(s)}" for s in rows]
         _write("\n".join(lines) + "\n", args.out)
     elif args.format == "json":
-        _write(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "total": summary.total,
-                    "average": summary.average,
-                    "max": summary.max_cancellations,
-                    "argmax": summary.argmax.to_text(),
-                    "rows": [_stats_dict(s) for s in rows],
-                }
-            )
-            + "\n",
-            args.out,
-        )
+        table = {
+            "n": args.n,
+            "total": summary.total,
+            "average": summary.average,
+            "max": summary.max_cancellations,
+            "argmax": summary.argmax.to_text(),
+            "rows": [_stats_dict(s) for s in rows],
+        }
+        _write(json.dumps(table) + "\n", args.out)
     else:
         _write(
             f"S_{args.n} total={summary.total} average={summary.average:.3f}"
@@ -180,62 +176,59 @@ def _verify_perms(n, sample, seed):
     return [_nth_perm(n, i) for i in indices]
 
 
-def cmd_verify(args) -> int:
-    if args.sample is not None and args.sample < 1:
-        raise OutOfRange(f"--sample must be >= 1, got {args.sample}")
-    n = args.n
-    _size_guard(args, n)
-    failures = []
-    checked = 0
-    if args.check == "theorem":
-        from . import analysis, oracle
-
-        for w in _verify_perms(n, args.sample, args.seed):
-            t = analysis.qbpd_polynomial(w)
-            checked += 1
-            if t != oracle.quantum_double_schubert_defining(w):
-                failures.append(f"{w}: weight sum differs from defining formula")
-            elif t != oracle.quantum_double_schubert_transition(w):
-                failures.append(f"{w}: weight sum differs from transition recursion")
-    elif args.check == "transition":
-        from .analysis import verify_transition
-
-        for w in _verify_perms(n, args.sample, args.seed):
-            if w.is_identity():
-                continue
-            checked += 1
-            if not verify_transition(w).is_zero():
-                failures.append(f"{w}: nonzero transition residual")
-    elif args.check == "monk":
+def _verify_row(check: str, w: Permutation):
+    """(checks made, failure lines) of one row of ``verify check``."""
+    if check == "monk":
         from .oracle import monk_residual
 
-        for w in _verify_perms(n, args.sample, args.seed):
-            for k in range(1, n):
-                checked += 1
-                if not monk_residual(k, w).is_zero():
-                    failures.append(f"k={k}, {w}: nonzero Monk residual")
-    elif args.check == "closure":
+        ks = range(1, w.n)
+        bad = [k for k in ks if not monk_residual(k, w).is_zero()]
+        return len(ks), [f"k={k}, {w}: nonzero Monk residual" for k in bad]
+    fault = None
+    if check == "theorem":
+        from . import analysis, oracle
+
+        t = analysis.qbpd_polynomial(w)
+        if t != oracle.quantum_double_schubert_defining(w):
+            fault = "weight sum differs from defining formula"
+        elif t != oracle.quantum_double_schubert_transition(w):
+            fault = "weight sum differs from transition recursion"
+    elif check == "transition":
+        from .analysis import verify_transition
+
+        if w.is_identity():
+            return 0, []
+        if not verify_transition(w).is_zero():
+            fault = "nonzero transition residual"
+    elif check == "closure":
         # both sides expand each tiling through the same domino pairings
         from .columns import flat_diagrams
         from .moves import _closure
 
-        for w in _verify_perms(n, args.sample, args.seed):
-            checked += 1
-            walked = [tiles for tiles, _ in flat_diagrams(w, unpaired=True)]
-            if sorted(_closure(w)) != walked:
-                failures.append(f"{w}: move closure differs from column enumeration")
+        walked = [tiles for tiles, _ in flat_diagrams(w, unpaired=True)]
+        if sorted(_closure(w)) != walked:
+            fault = "move closure differs from column enumeration"
     else:  # stability
         from .analysis import qbpd_polynomial
 
-        for w in _verify_perms(n, args.sample, args.seed):
-            checked += 1
-            lifted = qbpd_polynomial(embed(w, n + 1))
-            if lifted != qbpd_polynomial(w).embed(n + 1):
-                failures.append(f"{w}: weight sum not stable under embedding")
+        if qbpd_polynomial(embed(w, w.n + 1)) != qbpd_polynomial(w).embed(w.n + 1):
+            fault = "weight sum not stable under embedding"
+    return 1, [f"{w}: {fault}"] if fault else []
+
+
+def cmd_verify(args) -> int:
+    from .rows import map_rows
+
+    if args.sample is not None and args.sample < 1:
+        raise OutOfRange(f"--sample must be >= 1, got {args.sample}")
+    _size_guard(args, args.n)
+    perms = _verify_perms(args.n, args.sample, args.seed)
+    rows = map_rows(partial(_verify_row, args.check), perms, args.jobs)
+    failures = [line for _, lines in rows for line in lines]
     for line in failures:
         print(f"FAIL {line}")
     status = "ok" if not failures else f"{len(failures)} failures"
-    print(f"{args.check} n={n}: {checked} checks, {status}")
+    print(f"{args.check} n={args.n}: {sum(c for c, _ in rows)} checks, {status}")
     return 0 if not failures else CHECK_FAILED
 
 
@@ -291,9 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbpd",
         description="Enumerate quantum bumpless pipe dreams and their polynomials.",
     )
-    ap.add_argument(
-        "--jobs", type=int, default=None, help="worker processes for stats --n sweeps"
-    )
+    ap.add_argument("--jobs", type=int, help="worker processes of stats --n and verify")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("enum", help="enumerate the diagrams of a permutation")
@@ -346,6 +337,9 @@ def main(argv=None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
+        from .rows import resolve_jobs  # checked before any verb runs
+
+        args.jobs = resolve_jobs(args.jobs)
         code = args.fn(args)
         sys.stdout.flush()
         return code

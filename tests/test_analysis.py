@@ -186,7 +186,7 @@ def test_default_jobs_follow_cpu_affinity():
     code = (
         "import os\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        "from qbpd.analysis import resolve_jobs\n"
+        "from qbpd.rows import resolve_jobs\n"
         "print(resolve_jobs(None))\n"
     )
     result = subprocess.run(

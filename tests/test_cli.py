@@ -112,11 +112,12 @@ def test_stats_perm(capsys):
 
 
 def test_stats_group(capsys):
-    code, out, _ = run(capsys, "stats", "--n", "3")
+    # tests that reach the pool pass --jobs: the default is every CPU
+    code, out, _ = run(capsys, "--jobs", "2", "stats", "--n", "3")
     assert code == 0 and "total=0" in out
-    code, out, _ = run(capsys, "stats", "--n", "4")
+    code, out, _ = run(capsys, "--jobs", "2", "stats", "--n", "4")
     assert "total=5" in out and "max=2" in out and "argmax=4132" in out
-    code, out, _ = run(capsys, "stats", "--n", "4", "--format", "csv")
+    code, out, _ = run(capsys, "--jobs", "2", "stats", "--n", "4", "--format", "csv")
     lines = out.strip().splitlines()
     assert len(lines) == 25 and lines[0].startswith("perm,")
     code, out, err = run(capsys, "stats", "--n", "7")
@@ -145,8 +146,19 @@ def test_stats_json_identical_across_workers(capsys):
 
 
 def test_bad_jobs_exit_2(capsys):
-    code, out, err = run(capsys, "--jobs", "0", "stats", "--n", "3")
-    assert code == 2 and not out and "got 0" in err
+    # every verb checks --jobs before it runs, also those with no pool
+    for argv in (
+        ["--jobs", "0", "stats", "--n", "3"],
+        ["--jobs", "0", "verify", "theorem", "--n", "3"],
+        ["--jobs", "-5", "verify", "closure", "--n", "3"],
+        ["--jobs", "0", "stats", "--perm", "4231"],
+        ["--jobs", "0", "poly", "231"],
+        ["--jobs", "0", "enum", "231"],
+        ["--jobs", "0", "render", "231"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: jobs must be a positive integer, got {argv[1]}\n"
 
 
 def test_stats_usage_error(capsys):
@@ -157,16 +169,52 @@ def test_stats_usage_error(capsys):
 
 
 def test_verify_commands(capsys):
-    code, out, _ = run(capsys, "verify", "theorem", "--n", "3")
+    code, out, _ = run(capsys, "--jobs", "2", "verify", "theorem", "--n", "3")
     assert code == 0 and "ok" in out
-    code, out, _ = run(capsys, "verify", "closure", "--n", "3")
+    code, out, _ = run(capsys, "--jobs", "2", "verify", "closure", "--n", "3")
     assert code == 0
-    code, out, _ = run(capsys, "verify", "monk", "--n", "3")
+    code, out, _ = run(capsys, "--jobs", "2", "verify", "monk", "--n", "3")
     assert code == 0
-    code, out, _ = run(capsys, "verify", "transition", "--n", "3")
+    code, out, _ = run(capsys, "--jobs", "2", "verify", "transition", "--n", "3")
     assert code == 0
-    code, out, _ = run(capsys, "verify", "stability", "--n", "3")
+    code, out, _ = run(capsys, "--jobs", "2", "verify", "stability", "--n", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "theorem", "--n", "4"],
+        ["verify", "transition", "--n", "4"],
+        ["verify", "monk", "--n", "4"],
+        ["verify", "closure", "--n", "5"],
+        ["verify", "stability", "--n", "4"],
+        ["verify", "theorem", "--n", "6", "--sample", "5", "--seed", "3"],
+    ],
+    ids=["theorem", "transition", "monk", "closure", "stability", "theorem-sample"],
+)
+def test_verify_output_identical_across_jobs(capsys, argv):
+    one, two = (run(capsys, "--jobs", jobs, *argv) for jobs in ("1", "2"))
+    assert one == two and one[0] == 0 and one[1].endswith(", ok\n")
+
+
+def test_verify_failures_keep_the_sample_order(capsys, monkeypatch):
+    # every row fails, and the FAIL lines follow the sample, not row length
+    import qbpd.moves
+    from qbpd.cli import _verify_perms
+    from qbpd.perm import length
+
+    closure = qbpd.moves._closure
+    monkeypatch.setattr(qbpd.moves, "_closure", lambda w: closure(w)[:-1])
+    sample = _verify_perms(4, 5, 3)
+    assert sample != sorted(sample, key=length, reverse=True)
+    fail = "move closure differs from column enumeration"
+    expected = [f"FAIL {w}: {fail}" for w in sample]
+    expected.append("closure n=4: 5 checks, 5 failures")
+    for jobs in ("1", "2"):
+        argv = ("verify", "closure", "--n", "4", "--sample", "5", "--seed", "3")
+        code, out, _ = run(capsys, "--jobs", jobs, *argv)
+        assert (code, out.splitlines()) == (1, expected)
 
 
 def test_render_ascii(capsys):
@@ -454,10 +502,10 @@ def test_closed_stdout_ends_quietly(argv, lines):
         ["enum", "321"],
         ["poly", "321"],
         ["stats", "--perm", "321"],
-        ["verify", "monk", "--n", "3"],
+        ["--jobs", "2", "verify", "monk", "--n", "3"],
         ["render", "321"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["enum", "poly", "stats", "verify", "render"],
 )
 def test_full_stdout_exit_2(argv):
     import subprocess
@@ -518,6 +566,13 @@ def test_verify_closure_reports_a_missing_tiling(capsys, monkeypatch):
     first, *_, last = out.splitlines()
     assert first.endswith(": move closure differs from column enumeration")
     assert last == "closure n=3: 1 checks, 1 failures"
+    # all six rows, on the pool at two jobs
+    fail = "move closure differs from column enumeration"
+    expected = [f"FAIL {w}: {fail}" for w in enumerate_symmetric_group(3)]
+    expected.append("closure n=3: 6 checks, 6 failures")
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "--jobs", jobs, "verify", "closure", "--n", "3")
+        assert (code, out.splitlines()) == (1, expected)
 
 
 def with_wrong_term(route, row):
@@ -573,12 +628,18 @@ def test_verify_reports_a_wrong_term(capsys, monkeypatch, check, route, row, fai
     module, name = route.split(".")
     mod = importlib.import_module(f"qbpd.{module}")
     monkeypatch.setattr(mod, name, with_wrong_term(getattr(mod, name), row))
-    code, out, _ = run(capsys, "verify", check, "--n", "3")
-    assert code == 1
-    *fails, last = out.splitlines()
-    assert fails and all(line.startswith("FAIL ") for line in fails)
-    assert any(line.endswith(failing) for line in fails)
-    assert last.endswith(f" checks, {len(fails)} failures")
+    # the six rows of S_3 run on the pool at two jobs, whose forked
+    # workers carry the patched route
+    outputs = set()
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "--jobs", jobs, "verify", check, "--n", "3")
+        assert code == 1
+        *fails, last = out.splitlines()
+        assert fails and all(line.startswith("FAIL ") for line in fails)
+        assert any(line.endswith(failing) for line in fails)
+        assert last.endswith(f" checks, {len(fails)} failures")
+        outputs.add(out)
+    assert len(outputs) == 1
 
 
 @pytest.mark.parametrize(
@@ -642,19 +703,28 @@ def test_python_m_qbpd():
     assert result.returncode == 2 and result.stderr.startswith("error:")
 
 
+SWEEP_S7 = ("stats", "--n", "7", "--force", "--format", "csv")
+VERIFY_S7 = ("verify", "theorem", "--n", "7")
+
+
 @pytest.mark.parametrize(
-    "jobs, signum, to_group",
+    "jobs, signum, to_group, command",
     [
-        pytest.param("1", signal.SIGINT, True, id="1"),
-        pytest.param("2", signal.SIGINT, True, id="2"),
-        pytest.param("2", signal.SIGTERM, False, id="2-sigterm-parent"),
-        pytest.param("2", signal.SIGTERM, True, id="2-sigterm-group"),
+        pytest.param("1", signal.SIGINT, True, SWEEP_S7, id="1"),
+        pytest.param("2", signal.SIGINT, True, SWEEP_S7, id="2"),
+        pytest.param("2", signal.SIGTERM, False, SWEEP_S7, id="2-sigterm-parent"),
+        pytest.param("2", signal.SIGTERM, True, SWEEP_S7, id="2-sigterm-group"),
+        pytest.param("2", signal.SIGINT, True, VERIFY_S7, id="verify-2"),
+        pytest.param(
+            "2", signal.SIGTERM, False, VERIFY_S7, id="verify-2-sigterm-parent"
+        ),
     ],
 )
-def test_interrupted_sweep_ends_quietly(jobs, signum, to_group):
-    # the forced S_7 sweep runs for minutes, so the signal lands mid-row;
-    # the command and its workers share a new process group, which must be
-    # empty once the command has exited.  SIGTERM ends it as SIGINT does.
+def test_interrupted_sweep_ends_quietly(jobs, signum, to_group, command):
+    # the forced S_7 sweep and the S_7 theorem check run for minutes, so the
+    # signal lands mid-row; the command and its workers share a new process
+    # group, which must be empty once the command has exited.  SIGTERM ends
+    # it as SIGINT does.
     import subprocess
     import sys
     import time
@@ -663,7 +733,7 @@ def test_interrupted_sweep_ends_quietly(jobs, signum, to_group):
     import qbpd
 
     src = str(Path(qbpd.__file__).resolve().parent.parent)
-    argv = ["--jobs", jobs, "stats", "--n", "7", "--force", "--format", "csv"]
+    argv = ["--jobs", jobs, *command]
     proc = subprocess.Popen(
         [sys.executable, "-m", "qbpd", *argv],
         stdout=subprocess.PIPE,
