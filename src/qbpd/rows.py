@@ -20,9 +20,11 @@ def resolve_jobs(jobs: int | None) -> int:
 def map_rows(fn, perms, jobs: int | None = None) -> list:
     """``[fn(w) for w in perms]``, on ``jobs`` worker processes.
 
-    One job or fewer than four rows run here.  Workers take one row at a
-    time, longest first, so light rows fill in around the heavy ones.
-    SIGINT and SIGTERM, raised in this thread, end the pool's workers.
+    One job or fewer than four rows run here; otherwise workers take one
+    row at a time, longest first.  Length ranks cost only loosely (Spearman
+    rho 0.69 over the S_6 stats), but no order tried finishes S_6 sooner,
+    and on ``verify`` lexicographic order is within 7%.  SIGINT or SIGTERM
+    here leaves the pool's block, which terminates the workers.
     """
     perms = list(perms)
     jobs = resolve_jobs(jobs)

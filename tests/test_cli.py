@@ -198,25 +198,6 @@ def test_verify_output_identical_across_jobs(capsys, argv):
     assert one == two and one[0] == 0 and one[1].endswith(", ok\n")
 
 
-def test_verify_failures_keep_the_sample_order(capsys, monkeypatch):
-    # every row fails, and the FAIL lines follow the sample, not row length
-    import qbpd.moves
-    from qbpd.cli import _verify_perms
-    from qbpd.perm import length
-
-    closure = qbpd.moves._closure
-    monkeypatch.setattr(qbpd.moves, "_closure", lambda w: closure(w)[:-1])
-    sample = _verify_perms(4, 5, 3)
-    assert sample != sorted(sample, key=length, reverse=True)
-    fail = "move closure differs from column enumeration"
-    expected = [f"FAIL {w}: {fail}" for w in sample]
-    expected.append("closure n=4: 5 checks, 5 failures")
-    for jobs in ("1", "2"):
-        argv = ("verify", "closure", "--n", "4", "--sample", "5", "--seed", "3")
-        code, out, _ = run(capsys, "--jobs", jobs, *argv)
-        assert (code, out.splitlines()) == (1, expected)
-
-
 def test_render_ascii(capsys):
     code, out, _ = run(capsys, "render", "1")
     assert code == 0 and out.strip() == "┌"
@@ -558,6 +539,8 @@ def test_verify_closure_forced_s8(capsys):
 
 def test_verify_closure_reports_a_missing_tiling(capsys, monkeypatch):
     import qbpd.moves
+    from qbpd.cli import _verify_perms
+    from qbpd.perm import length
 
     closure = qbpd.moves._closure
     monkeypatch.setattr(qbpd.moves, "_closure", lambda w: closure(w)[:-1])
@@ -566,12 +549,16 @@ def test_verify_closure_reports_a_missing_tiling(capsys, monkeypatch):
     first, *_, last = out.splitlines()
     assert first.endswith(": move closure differs from column enumeration")
     assert last == "closure n=3: 1 checks, 1 failures"
-    # all six rows, on the pool at two jobs
+    # every row fails; on the pool too, the FAIL lines follow the sample,
+    # not the longest-first order in which workers take the rows
+    sample = _verify_perms(4, 5, 3)
+    assert sample != sorted(sample, key=length, reverse=True)
     fail = "move closure differs from column enumeration"
-    expected = [f"FAIL {w}: {fail}" for w in enumerate_symmetric_group(3)]
-    expected.append("closure n=3: 6 checks, 6 failures")
+    expected = [f"FAIL {w}: {fail}" for w in sample]
+    expected.append("closure n=4: 5 checks, 5 failures")
     for jobs in ("1", "2"):
-        code, out, _ = run(capsys, "--jobs", jobs, "verify", "closure", "--n", "3")
+        argv = ("verify", "closure", "--n", "4", "--sample", "5", "--seed", "3")
+        code, out, _ = run(capsys, "--jobs", jobs, *argv)
         assert (code, out.splitlines()) == (1, expected)
 
 
