@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _NAMES = {
     "analysis": """CancellationStats SweepSummary WeightCells bwt
         cancellation_stats qbpd_polynomial stats_for_group summarize
-        verify_transition weight_cells""",
+        weight_cells""",
     "diagram": """Diagram TileKind canonical_key diagram_from_text
         diagram_to_text domino_pairings extract_permutation rothe_diagram
         validate""",
@@ -28,7 +28,7 @@ _NAMES = {
     "perm": """Permutation TransitionData embed enumerate_symmetric_group
         is_bruhat_cover is_quantum_lower length make_permutation
         parse_permutation right_multiply_transposition transition_setup""",
-    "polyring": "Monomial Poly",
+    "polyring": "Poly",
 }
 _EXPORTS = {name: mod for mod, names in _NAMES.items() for name in names.split()}
 _SUBMODULES = {*_NAMES, "cli", "columns", "errors", "render"}

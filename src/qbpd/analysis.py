@@ -36,7 +36,6 @@ __all__ = [
     "cancellation_stats",
     "stats_for_group",
     "summarize",
-    "verify_transition",
 ]
 
 
@@ -289,14 +288,3 @@ def summarize(n: int, rows) -> SweepSummary:
         max_cancellations=best.cancellations,
         argmax=best.perm,
     )
-
-
-# ---------------------------------------------------------------------------
-# transition residual
-
-
-def verify_transition(pi: Permutation) -> Poly:
-    """LHS minus RHS of the transition equation with every polynomial a T."""
-    from .oracle import transition_rhs
-
-    return qbpd_polynomial(pi) - transition_rhs(pi, qbpd_polynomial)

@@ -7,10 +7,12 @@ never overflow.  Monomials are stored internally as one packed int: the
 monomials adds ints and descending int order is descending lex order on
 the exponent vector.  The top bit of every field is a guard bit: exponents
 range over 0..127, and an operation whose result leaves that range raises
-:class:`OutOfRange` instead of carrying into the next field.  The
-:class:`Monomial` view splits the blocks for the public API.  The ambient
-size n is fixed per polynomial and mixed-size arithmetic is an error;
-:meth:`Poly.embed` performs the explicit inclusion into a larger ring.
+:class:`OutOfRange` instead of carrying into the next field.  At the public
+boundary a monomial is its exponent tuple (x_1..x_n, y_1..y_n,
+q_1..q_{n-1}): :class:`Poly` takes ``{tuple: int}`` and :meth:`Poly.terms`
+gives it back.  The ambient size n is fixed per polynomial and mixed-size
+arithmetic is an error; :meth:`Poly.embed` performs the explicit inclusion
+into a larger ring.
 
 The quantum degree of a monomial counts deg x_i = deg y_j = 1 and
 deg q_i = 2.
@@ -19,11 +21,12 @@ deg q_i = 2.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from operator import index
+from typing import NamedTuple
 
 from .errors import AmbientMismatch, OutOfRange
 
-__all__ = ["Monomial", "Poly"]
+__all__ = ["Poly"]
 
 # one byte per exponent field, so ``int.to_bytes`` decodes a key
 _WIDTH = 8
@@ -108,21 +111,6 @@ def _checked(n: int, terms: dict) -> dict:
     return terms
 
 
-class Monomial(NamedTuple):
-    """Exponent vectors for the x, y and q variable blocks."""
-
-    xexp: tuple[int, ...]
-    yexp: tuple[int, ...]
-    qexp: tuple[int, ...]
-
-    @classmethod
-    def from_flat(cls, flat: tuple[int, ...], n: int) -> "Monomial":
-        return cls(flat[:n], flat[n : 2 * n], flat[2 * n :])
-
-    def flat(self) -> tuple[int, ...]:
-        return self.xexp + self.yexp + self.qexp
-
-
 class Poly:
     """Immutable sparse polynomial with exact integer coefficients."""
 
@@ -136,16 +124,15 @@ class Poly:
         if terms:
             width = 3 * n - 1
             for key, coeff in terms.items():
-                if isinstance(key, Monomial):
-                    key = key.flat()
                 if len(key) != width:
                     raise AmbientMismatch(
                         f"monomial width {len(key)} != {width} for n={n}"
                     )
                 if min(key) < 0 or max(key) > _MAX_EXP:
                     raise OutOfRange(f"exponents {tuple(key)} not in 0..{_MAX_EXP}")
+                coeff = index(coeff)  # a float raises TypeError, as in bytes(key)
                 if coeff:
-                    self._terms[int.from_bytes(bytes(key), "big")] = int(coeff)
+                    self._terms[int.from_bytes(bytes(key), "big")] = coeff
 
     @classmethod
     def _raw(cls, n: int, terms: dict) -> "Poly":
@@ -194,9 +181,10 @@ class Poly:
 
     @classmethod
     def const(cls, c: int, n: int) -> "Poly":
+        c = index(c)
         if c == 0:
             return cls(n)
-        return cls._raw(n, {0: int(c)})
+        return cls._raw(n, {0: c})
 
     @classmethod
     def one(cls, n: int) -> "Poly":
@@ -285,18 +273,13 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
 
-    def terms(self) -> dict[Monomial, int]:
-        n = self.n
-        return {
-            Monomial.from_flat(tuple(self._flat(k)), n): c
-            for k, c in self._terms.items()
-        }
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """{exponent tuple: coefficient}, so ``Poly(p.n, p.terms()) == p``.
 
-    def monomials(self) -> Iterable[tuple[Monomial, int]]:
-        """Yield (monomial, coefficient) pairs in canonical order."""
-        n = self.n
-        for key in sorted(self._terms, reverse=True):
-            yield Monomial.from_flat(tuple(self._flat(key)), n), self._terms[key]
+        Tuples sort like the packed keys: sorting them in reverse gives the
+        canonical order.
+        """
+        return {tuple(self._flat(k)): c for k, c in self._terms.items()}
 
     def counts(self) -> tuple[int, int]:
         """(number of stored terms, sum of absolute coefficient values)."""
@@ -410,13 +393,23 @@ class Poly:
         return "".join(out)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"c": str(c), "x": list(m.xexp), "y": list(m.yexp), "q": list(m.qexp)}
-                for m, c in self.monomials()
-            ],
-        }
+        """A read-only serialization view, terms in descending lex order.
+
+        Each distinct x, y and q block is decoded once, as in
+        :meth:`canonical_text`, and its exponent list is shared by every
+        term that has it.
+        """
+        n = self.n
+        x = _Memo(lambda block: list(self._flat(block)[:n]))
+        y = _Memo(lambda block: list(self._flat(block)[n : 2 * n]))
+        q = _Memo(lambda block: list(self._flat(block)[2 * n :]))
+        layout = _layout(n)
+        xmask, ymask, qmask = layout.xmask, layout.ymask, layout.qmask
+        out = [
+            {"c": str(c), "x": x[k & xmask], "y": y[k & ymask], "q": q[k & qmask]}
+            for k, c in sorted(self._terms.items(), reverse=True)
+        ]
+        return {"n": n, "terms": out}
 
     def __repr__(self):
         return f"Poly(n={self.n}, {self.canonical_text()})"

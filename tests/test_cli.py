@@ -358,6 +358,23 @@ def test_enum_golden_output_s5(capsys):
     assert h.hexdigest() == "6fa076c0c51c6204ae663d8e807fc813"
 
 
+def test_poly_json_golden_output_s4(capsys):
+    # md5 over `poly w --format json` in every mode for every w in S_1..S_4,
+    # and 632541 by the weight sum, pinned before JSON was decoded by block
+    h = hashlib.md5()
+    argvs = [
+        (w.to_text(), mode)
+        for n in range(1, 5)
+        for w in enumerate_symmetric_group(n)
+        for mode in ("qbpd", "oracle", "transition")
+    ]
+    for w, mode in [*argvs, ("632541", "qbpd")]:
+        code, out, _ = run(capsys, "poly", w, "--mode", mode, "--format", "json")
+        assert code == 0
+        h.update(out.encode())
+    assert h.hexdigest() == "0e541242831d619957cbfa79c03ba492"
+
+
 def test_enum_and_poly_size_guard(capsys):
     for verb in ("enum", "poly"):
         code, out, err = run(capsys, verb, "12345687")

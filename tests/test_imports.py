@@ -14,7 +14,7 @@ import qbpd
 
 # Every name ``qbpd`` exports.
 EXPORTED = """
-    CancellationStats Diagram Monomial Permutation Poly SweepSummary TileKind
+    CancellationStats Diagram Permutation Poly SweepSummary TileKind
     TransitionData WeightCells bwt cancellation_stats canonical_key
     diagram_from_text diagram_to_text domino_pairings embed enumerate_qbpds
     enumerate_symmetric_group enumerate_unpaired extract_permutation
@@ -22,7 +22,7 @@ EXPORTED = """
     parse_permutation q_interval qbpd_polynomial
     quantum_double_schubert_defining quantum_double_schubert_transition
     right_multiply_transposition rothe_diagram stats_for_group summarize
-    transition_rhs transition_setup validate verify_transition weight_cells
+    transition_rhs transition_setup validate weight_cells
 """.split()
 
 
@@ -88,7 +88,7 @@ def test_import_loads_no_dataclasses_or_inspect(statement):
 
 
 def test_every_exported_name_resolves():
-    assert len(EXPORTED) == 39
+    assert len(EXPORTED) == 37
     for name in EXPORTED:
         exec(f"from qbpd import {name}", {})
         assert name in qbpd.__all__
@@ -101,12 +101,12 @@ def test_move_lookup_pipe_records_and_embedding_are_not_exported():
     removed = """PipeStep PipeTrace RectMove apply_droop apply_lift embed_diagram
         restrict_diagram trace_pipes wt is_cancellation_free is_classical_bpd
         sweep double_schubert_defining divided_difference_chain reduced_word
-        column_enumerate""".split()
+        column_enumerate verify_transition Monomial""".split()
     for name in removed:
         assert name not in qbpd.__all__
         with pytest.raises(AttributeError):
             getattr(qbpd, name)
-    for mod in ("analysis", "columns", "diagram", "moves", "oracle", "perm"):
+    for mod in ("analysis", "columns", "diagram", "moves", "oracle", "perm", "polyring"):
         module = importlib.import_module(f"qbpd.{mod}")
         assert not set(removed) & set(vars(module)), mod
     for name in ("TracingStuck", "NotRestrictable", "MoveRejected"):

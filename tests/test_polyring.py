@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbpd.errors import AmbientMismatch, OutOfRange
-from qbpd.polyring import Monomial, Poly
+from qbpd.polyring import Poly
 
 from conftest import random_poly
 
@@ -26,10 +26,7 @@ def test_difference_of_squares():
 def test_q_monomial_product():
     n = 3
     f = Poly.q(1, n) * Poly.q(2, n)
-    ((mono, coeff),) = list(f.monomials())
-    assert coeff == 1
-    assert mono.qexp == (1, 1)
-    assert mono.xexp == (0, 0, 0) and mono.yexp == (0, 0, 0)
+    assert f.terms() == {(0, 0, 0, 0, 0, 0, 1, 1): 1}
 
 
 def test_ambient_mismatch():
@@ -88,7 +85,7 @@ def test_json_round_trip():
     assert all(isinstance(t["c"], str) for t in data["terms"])
     again = json.loads(json.dumps(data))["terms"]
     terms = {tuple(t["x"] + t["y"] + t["q"]): int(t["c"]) for t in again}
-    assert terms == flat_terms(f)
+    assert terms == f.terms()
     # canonical order: keys descending on the concatenated exponent vector
     keys = [tuple(t["x"]) + tuple(t["y"]) + tuple(t["q"]) for t in data["terms"]]
     assert keys == sorted(keys, reverse=True)
@@ -103,11 +100,6 @@ def test_embed():
         g.embed(2)
 
 
-def test_monomial_flat_round_trip():
-    m = Monomial((1, 0), (0, 2), (3,))
-    assert Monomial.from_flat(m.flat(), 2) == m
-
-
 def test_divided_difference_random_properties():
     rng = random.Random(20250810)
     n = 4
@@ -117,11 +109,11 @@ def test_divided_difference_random_properties():
         # nilpotence, and the result is symmetric in y_i, y_{i+1}
         d = f.divided_difference_y(i)
         assert d.divided_difference_y(i).is_zero()
-        assert ref_swap(flat_terms(d), n, i) == flat_terms(d)
+        assert ref_swap(d.terms(), n, i) == d.terms()
         # the division is exact
-        product = flat_terms((Poly.y(i, n) - Poly.y(i + 1, n)) * d)
-        sf = ref_swap(flat_terms(f), n, i)
-        assert product == ref_add(flat_terms(f), {k: -c for k, c in sf.items()})
+        product = ((Poly.y(i, n) - Poly.y(i + 1, n)) * d).terms()
+        sf = ref_swap(f.terms(), n, i)
+        assert product == ref_add(f.terms(), {k: -c for k, c in sf.items()})
         # braid relation
         j = rng.randint(1, n - 2)
         lhs = (
@@ -229,10 +221,6 @@ def term_dicts(n):
     return st.dictionaries(key, st.integers(-5, 5), max_size=8)
 
 
-def flat_terms(p):
-    return {m.flat(): c for m, c in p.terms().items()}
-
-
 two_polys = st.integers(1, 4).flatmap(
     lambda n: st.tuples(st.just(n), term_dicts(n), term_dicts(n))
 )
@@ -247,16 +235,18 @@ def test_packed_ring_ops_match_reference(case):
     n, f, g = case
     f, g = ref_norm(f), ref_norm(g)
     pf, pg = Poly(n, f), Poly(n, g)
-    assert flat_terms(pf + pg) == ref_add(f, g)
-    assert flat_terms(pf - pg) == ref_add(f, {k: -c for k, c in g.items()})
-    assert flat_terms(pf * pg) == ref_mul(f, g)
+    assert (pf + pg).terms() == ref_add(f, g)
+    assert (pf - pg).terms() == ref_add(f, {k: -c for k, c in g.items()})
+    assert (pf * pg).terms() == ref_mul(f, g)
     for p, ref in ((pf, f), (pf * pg, ref_mul(f, g))):
+        assert Poly(n, p.terms()) == p
         assert p.canonical_text() == ref_text(ref, n)
         data = json.loads(json.dumps(p.to_json_dict()))
         keys = [tuple(t["x"] + t["y"] + t["q"]) for t in data["terms"]]
         assert keys == sorted(ref, reverse=True)
+        assert keys == sorted(p.terms(), reverse=True)
         terms = {tuple(t["x"] + t["y"] + t["q"]): int(t["c"]) for t in data["terms"]}
-        assert terms == flat_terms(p)
+        assert terms == p.terms()
 
 
 @settings(max_examples=80, deadline=None)
@@ -266,12 +256,12 @@ def test_packed_y_operators_match_reference(case, extra):
     f = ref_norm(f)
     p = Poly(n, f)
     d = ref_divided_difference(f, n, i)
-    assert flat_terms(p.divided_difference_y(i)) == d
+    assert p.divided_difference_y(i).terms() == d
     # the quotient times y_i - y_{i+1} gives back f - s_i f
-    yy = flat_terms(Poly.y(i, n) - Poly.y(i + 1, n))
+    yy = (Poly.y(i, n) - Poly.y(i + 1, n)).terms()
     assert ref_mul(yy, d) == ref_add(f, {k: -c for k, c in ref_swap(f, n, i).items()})
     N = n + extra
-    assert flat_terms(p.embed(N)) == ref_embed(f, n, N)
+    assert p.embed(N).terms() == ref_embed(f, n, N)
     for zero_y in (False, True):
         for zero_q in (False, True):
             keep = {
@@ -279,7 +269,15 @@ def test_packed_y_operators_match_reference(case, extra):
                 for k, c in f.items()
                 if not (zero_y and any(k[n : 2 * n]) or zero_q and any(k[2 * n :]))
             }
-            assert flat_terms(p.specialize(zero_y=zero_y, zero_q=zero_q)) == keep
+            assert p.specialize(zero_y=zero_y, zero_q=zero_q).terms() == keep
+
+
+def test_coefficients_must_be_integers():
+    for c in (0.5, 2.7, 0.0):
+        with pytest.raises(TypeError):
+            Poly.const(c, 2)
+        with pytest.raises(TypeError):
+            Poly(1, {(1, 0): c})
 
 
 def test_exponent_range_boundaries():
@@ -334,7 +332,7 @@ def test_from_packed_and_text_match_reference(case):
     for i, (k, c) in enumerate(sorted(f.items())):
         parts[i % nparts][ref_pack_narrow(k, n)] = c
     p = Poly._from_packed(n, iter(parts))
-    assert flat_terms(p) == f
+    assert p.terms() == f
     assert p.canonical_text() == ref_text(f, n)
 
 
