@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from functools import partial
+from itertools import chain
 
 from .errors import NotABijection, OutOfRange, SizeLimit, Terminated
 from .perm import Permutation, embed, enumerate_symmetric_group, parse_permutation
@@ -45,13 +46,14 @@ def _sized_perm(args, text: str) -> Permutation:
     return w
 
 
-def _write(text: str, out: str | None):
+def _write(pieces, out: str | None):
+    """Write the strings of ``pieces`` in turn to the file ``out`` or to stdout."""
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
@@ -68,7 +70,7 @@ def cmd_enum(args) -> int:
     w = _sized_perm(args, args.perm)
     ds = flat_diagrams(w, unpaired=args.unpaired)
     if args.out and not args.count:  # first, so a failed write prints no count
-        _write(flat_text(w.n, ds), args.out)
+        _write([flat_text(w.n, ds)], args.out)
     print(len(ds))
     if not (args.out or args.count):
         sys.stdout.write(flat_text(w.n, ds))
@@ -89,12 +91,7 @@ def cmd_poly(args) -> int:
     else:
         from .oracle import quantum_double_schubert_transition as route
     p = route(w).specialize(zero_y="y" in families, zero_q="q" in families)
-    if args.format == "json":
-        import json
-
-        _write(json.dumps(p.to_json_dict(), indent=None) + "\n", args.out)
-    else:
-        _write(p.canonical_text() + "\n", args.out)
+    _write(chain(p.pieces(as_json=args.format == "json"), ["\n"]), args.out)
     return 0
 
 
@@ -120,11 +117,11 @@ def cmd_stats(args) -> int:
     if args.perm is not None:
         s = analysis.cancellation_stats(_sized_perm(args, args.perm))
         if args.format == "csv":
-            _write(f"{CSV_HEADER}\n{s.perm.to_text()},{_stats_text(s)}\n", args.out)
+            _write([f"{CSV_HEADER}\n{s.perm.to_text()},{_stats_text(s)}\n"], args.out)
         elif args.format == "json":
-            _write(json.dumps(_stats_dict(s)) + "\n", args.out)
+            _write([json.dumps(_stats_dict(s)) + "\n"], args.out)
         else:
-            _write(_stats_text(s) + "\n", args.out)
+            _write([_stats_text(s) + "\n"], args.out)
         return 0
     _size_guard(args, args.n)
     rows = analysis.stats_for_group(args.n, jobs=args.jobs)
@@ -132,7 +129,7 @@ def cmd_stats(args) -> int:
     if args.format == "csv":
         lines = [CSV_HEADER]
         lines += [f"{s.perm.to_text()},{_stats_text(s)}" for s in rows]
-        _write("\n".join(lines) + "\n", args.out)
+        _write(["\n".join(lines) + "\n"], args.out)
     elif args.format == "json":
         table = {
             "n": args.n,
@@ -142,13 +139,13 @@ def cmd_stats(args) -> int:
             "argmax": summary.argmax.to_text(),
             "rows": [_stats_dict(s) for s in rows],
         }
-        _write(json.dumps(table) + "\n", args.out)
+        _write([json.dumps(table) + "\n"], args.out)
     else:
-        _write(
+        line = (
             f"S_{args.n} total={summary.total} average={summary.average:.3f}"
-            f" max={summary.max_cancellations} argmax={summary.argmax.to_text()}\n",
-            args.out,
+            f" max={summary.max_cancellations} argmax={summary.argmax.to_text()}\n"
         )
+        _write([line], args.out)
     return 0
 
 
@@ -273,7 +270,7 @@ def cmd_render(args) -> int:
         pool = flat_diagrams(w, unpaired=args.unpaired)
         D = Diagram.from_flat(w.n, *pool[_pick(len(pool), args.index)])
     text = render_svg(D) if args.format == "svg" else render_ascii(D)
-    _write(text, args.out)
+    _write([text], args.out)
     return 0
 
 

@@ -31,6 +31,7 @@ __all__ = ["Poly"]
 # one byte per exponent field, so ``int.to_bytes`` decodes a key
 _WIDTH = 8
 _MAX_EXP = 127
+_PIECE = 4096  # terms per piece of written output
 
 
 class _Layout(NamedTuple):
@@ -221,6 +222,8 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, int):
             other = Poly.const(other, self.n)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         self._check_ambient(other)
         return Poly._raw(self.n, _mac(dict(self._terms), other._terms, ((0, 1),)))
 
@@ -242,6 +245,8 @@ class Poly:
             if other == 0:
                 return Poly.zero(self.n)
             return Poly._raw(self.n, {k: c * other for k, c in self._terms.items()})
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check_ambient(other)
         a, b = self._terms, other._terms
         if len(a) < len(b):
@@ -358,58 +363,55 @@ class Poly:
         >>> (Poly.q(1, 3) * Poly.q(2, 3) - Poly.q(1, 3) * Poly.q(1, 3)).canonical_text()
         '-q1^2 + q1*q2'
         """
-        terms = self._terms
-        if not terms:
-            return "0"
-        n = self.n
-        blocks = (("x", n), ("y", n), ("q", n - 1))
-        names = [f"{v}{i}" for v, size in blocks for i in range(1, size + 1)]
+        return "".join(self.pieces())
 
-        def factors(block: int) -> str:
-            # the factors of one block, each followed by "*"
-            return "".join(
-                f"{name}*" if e == 1 else f"{name}^{e}*"
-                for name, e in zip(names, self._flat(block))
-                if e
-            )
+    def pieces(self, as_json: bool = False):
+        """The canonical text, or with ``as_json`` the JSON object, in pieces.
 
-        def head(c: int) -> str:
-            mag = abs(c)
-            return (" - " if c < 0 else " + ") + (f"{mag}*" if mag != 1 else "")
-
-        # the text of each block and coefficient is made once, and one string
-        # per term in one pass: a large polynomial's text is its largest allocation
-        text, coeff = _Memo(factors), _Memo(head)
-        layout = _layout(n)
-        xmask, ymask, qmask = layout.xmask, layout.ymask, layout.qmask
-        out = [
-            f"{coeff[terms[k]]}{text[k & xmask]}{text[k & ymask]}{text[k & qmask]}"[:-1]
-            for k in sorted(terms, reverse=True)
-        ]
-        if 0 in terms:  # the constant term, the lowest key, is its magnitude
-            out[-1] = coeff[terms[0]][:3] + str(abs(terms[0]))
-        # the first term keeps only its sign
-        out[0] = out[0][3:] if out[0][1] == "+" else "-" + out[0][3:]
-        return "".join(out)
-
-    def to_json_dict(self) -> dict:
-        """A read-only serialization view, terms in descending lex order.
-
-        Each distinct x, y and q block is decoded once, as in
-        :meth:`canonical_text`, and its exponent list is shared by every
-        term that has it.
+        Each piece is ``_PIECE`` whole terms in descending lex order, so no
+        output is held whole, and the text of each coefficient and block
+        value is made once.  The JSON object is laid out as ``json.dumps``
+        lays out ``{"n": n, "terms": [{"c": "-2", "x": [..], "y": [..], "q": [..]}]}``.
         """
-        n = self.n
-        x = _Memo(lambda block: list(self._flat(block)[:n]))
-        y = _Memo(lambda block: list(self._flat(block)[n : 2 * n]))
-        q = _Memo(lambda block: list(self._flat(block)[2 * n :]))
+        n, terms, flat = self.n, self._terms, self._flat
+        if as_json:
+            yield f'{{"n": {n}, "terms": ['
+            head = _Memo(lambda c: f', {{"c": "{c}", "x": ')
+            x = _Memo(lambda block: f'{list(flat(block)[:n])}, "y": ')
+            y = _Memo(lambda block: f'{list(flat(block)[n : 2 * n])}, "q": ')
+            q = _Memo(lambda block: f"{list(flat(block)[2 * n :])}}}")
+        else:
+            blocks = (("x", n), ("y", n), ("q", n - 1))
+            names = [f"{v}{i}" for v, size in blocks for i in range(1, size + 1)]
+            # factors follow a "*" and every term writes its magnitude, so a
+            # constant term is whole; a 1 before a factor is dropped per piece
+            head = _Memo(lambda c: f" - {-c}" if c < 0 else f" + {c}")
+            x = y = q = _Memo(
+                lambda block: "".join(
+                    f"*{name}" if e == 1 else f"*{name}^{e}"
+                    for name, e in zip(names, flat(block))
+                    if e
+                )
+            )
         layout = _layout(n)
         xmask, ymask, qmask = layout.xmask, layout.ymask, layout.qmask
-        out = [
-            {"c": str(c), "x": x[k & xmask], "y": y[k & ymask], "q": q[k & qmask]}
-            for k, c in sorted(self._terms.items(), reverse=True)
-        ]
-        return {"n": n, "terms": out}
+        keys = sorted(terms, reverse=True)
+        for at in range(0, len(keys), _PIECE):
+            piece = "".join(
+                [
+                    f"{head[terms[k]]}{x[k & xmask]}{y[k & ymask]}{q[k & qmask]}"
+                    for k in keys[at : at + _PIECE]
+                ]
+            )
+            if not as_json:
+                piece = piece.replace(" 1*", " ")
+            if not at:  # no separator before the first term; text keeps its sign
+                piece = piece[2:] if as_json else piece[1].strip("+") + piece[3:]
+            yield piece
+        if as_json:
+            yield "]}"
+        elif not keys:
+            yield "0"
 
     def __repr__(self):
         return f"Poly(n={self.n}, {self.canonical_text()})"

@@ -465,12 +465,17 @@ def test_render_file_without_diagram_exit_2(tmp_path, capsys, content):
 
 @pytest.mark.parametrize(
     "argv, lines",
-    [(["enum", "7654321"], 1), (["stats", "--perm", "654321"], 0)],
-    ids=["enum-after-one-line", "stats-before-any"],
+    [
+        (["enum", "7654321"], 1),
+        (["stats", "--perm", "654321"], 0),
+        (["poly", "654321", "--format", "json"], 0),
+    ],
+    ids=["enum-after-one-line", "stats-before-any", "poly-json-before-any"],
 )
 def test_closed_stdout_ends_quietly(argv, lines):
-    # enum 7654321 writes 246 kB, more than a pipe holds, so the write
-    # after the reader leaves fails rather than filling the pipe
+    # enum 7654321 writes 246 kB and poly 654321 as JSON 9.6 MB, more than
+    # a pipe holds, so the write after the reader leaves fails rather than
+    # filling the pipe
     import os
     import subprocess
     import sys
@@ -523,6 +528,44 @@ def test_full_stdout_exit_2(argv):
         )
     assert result.returncode == 2
     assert result.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_to_full_device_exit_2(capsys):
+    code, out, err = run(capsys, "poly", "4213", "--out", "/dev/full")
+    assert code == 2 and not out
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_poly_output_is_not_held_whole(fmt):
+    # VmHWM starts afresh at exec; poly 654321 writes 3.9 MB of text or
+    # 9.6 MB of JSON, and peaked at 41 and 80 MiB when both were built whole
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qbpd
+
+    src = str(Path(qbpd.__file__).resolve().parent.parent)
+    code = (
+        "from qbpd.cli import main\n"
+        f"assert main(['poly', '654321', '--format', '{fmt}']) == 0\n"
+        "status = open('/proc/self/status').read().split('\\n')\n"
+        "print(next(line for line in status if line.startswith('VmHWM:')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 0, result.stderr
+    *_, last = result.stdout.splitlines()
+    _, kib, unit = last.split()
+    assert unit == "kB"
+    assert int(kib) <= 36 * 1024, last
 
 
 def test_out_to_missing_directory_exit_2(tmp_path, capsys):

@@ -4,10 +4,21 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qbpd import polyring
+from qbpd.analysis import qbpd_polynomial
 from qbpd.errors import AmbientMismatch, OutOfRange
+from qbpd.oracle import (
+    quantum_double_schubert_defining,
+    quantum_double_schubert_transition,
+)
+from qbpd.perm import enumerate_symmetric_group
 from qbpd.polyring import Poly
 
 from conftest import random_poly
+
+
+def json_of(p):
+    return json.loads("".join(p.pieces(as_json=True)))
 
 
 def test_additive_inverse():
@@ -80,7 +91,7 @@ def test_canonical_text():
 def test_json_round_trip():
     n = 3
     f = 5 * Poly.x(1, n) * Poly.q(2, n) - Poly.y(3, n)
-    data = f.to_json_dict()
+    data = json_of(f)
     assert data["n"] == 3
     assert all(isinstance(t["c"], str) for t in data["terms"])
     again = json.loads(json.dumps(data))["terms"]
@@ -89,6 +100,20 @@ def test_json_round_trip():
     # canonical order: keys descending on the concatenated exponent vector
     keys = [tuple(t["x"]) + tuple(t["y"]) + tuple(t["q"]) for t in data["terms"]]
     assert keys == sorted(keys, reverse=True)
+
+
+def test_foreign_operands_raise_type_error():
+    p = Poly.x(1, 2)
+    for op in (
+        lambda: p * 0.5,
+        lambda: p + 0.5,
+        lambda: 0.5 * p,
+        lambda: 0.5 - p,
+        lambda: p - 0.5,
+        lambda: p + None,
+    ):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_embed():
@@ -241,7 +266,7 @@ def test_packed_ring_ops_match_reference(case):
     for p, ref in ((pf, f), (pf * pg, ref_mul(f, g))):
         assert Poly(n, p.terms()) == p
         assert p.canonical_text() == ref_text(ref, n)
-        data = json.loads(json.dumps(p.to_json_dict()))
+        data = json_of(p)
         keys = [tuple(t["x"] + t["y"] + t["q"]) for t in data["terms"]]
         assert keys == sorted(ref, reverse=True)
         assert keys == sorted(p.terms(), reverse=True)
@@ -282,7 +307,7 @@ def test_coefficients_must_be_integers():
 
 def test_exponent_range_boundaries():
     top = Poly(1, {(127, 0): 1})
-    assert top.to_json_dict()["terms"][0]["x"] == [127]
+    assert json_of(top)["terms"][0]["x"] == [127]
     for bad in ((128, 0), (0, -1)):
         with pytest.raises(OutOfRange):
             Poly(1, {bad: 1})
@@ -354,3 +379,31 @@ wide_case = st.integers(1, 4).flatmap(
 def test_text_at_the_exponent_limit_matches_reference(case):
     n, f = case
     assert Poly(n, f).canonical_text() == ref_text(f, n)
+
+
+def ref_json(p):
+    n = p.n
+    terms = [
+        {"c": str(c), "x": list(t[:n]), "y": list(t[n : 2 * n]), "q": list(t[2 * n :])}
+        for t, c in sorted(p.terms().items(), reverse=True)
+    ]
+    return json.dumps({"n": n, "terms": terms})
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_pieces_split_at_any_term(monkeypatch, size):
+    monkeypatch.setattr(polyring, "_PIECE", size)
+    polys = [Poly.zero(2), Poly.const(1, 2), Poly.const(-1, 3), Poly.const(-7, 1)]
+    polys.append(3 * Poly.x(1, 2) * Poly.q(1, 2) - Poly.y(2, 2) - 1)
+    routes = (
+        qbpd_polynomial,
+        quantum_double_schubert_defining,
+        quantum_double_schubert_transition,
+    )
+    for n in range(1, 5):
+        polys += [route(w) for w in enumerate_symmetric_group(n) for route in routes]
+    for p in polys:
+        pieces = list(p.pieces())
+        assert "".join(pieces) == p.canonical_text() == ref_text(p.terms(), p.n)
+        assert len(pieces) == max(1, -(-len(p) // size))
+        assert "".join(p.pieces(as_json=True)) == ref_json(p)
