@@ -88,19 +88,23 @@ def _mac(acc: dict, poly: dict, terms) -> dict:
     """acc += poly * terms on packed keys; returns acc.
 
     ``terms`` is an iterable of (key, coefficient) pairs; it is the outer
-    loop, so it should be the shorter factor.  A zero sum is deleted as
-    soon as it appears, so ``acc`` never holds a zero coefficient.
+    loop, so it should be the shorter factor.  Both factors must hold only
+    nonzero coefficients, so a new key's product needs no zero test; a
+    zero sum is deleted as soon as it appears, so ``acc`` never holds a
+    zero coefficient either.
     """
-    get = acc.get
     items = poly.items()
     for tk, tv in terms:
         for k, v in items:
             t = k + tk
-            s = get(t, 0) + v * tv
-            if s:
-                acc[t] = s
+            if t in acc:
+                s = acc[t] + v * tv
+                if s:
+                    acc[t] = s
+                else:
+                    del acc[t]
             else:
-                del acc[t]
+                acc[t] = v * tv
     return acc
 
 

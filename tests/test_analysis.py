@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -32,9 +33,11 @@ from qbpd.perm import (
     Permutation,
     embed,
     enumerate_symmetric_group,
+    length,
     make_permutation,
 )
 from qbpd.polyring import Poly, _narrow
+from qbpd.rows import map_rows
 
 from conftest import cancellation_free, cycle_down, cycle_up
 
@@ -197,6 +200,33 @@ def test_default_jobs_follow_cpu_affinity():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "1\n"
+
+
+S6_SHUFFLED = list(enumerate_symmetric_group(6))
+random.Random(6).shuffle(S6_SHUFFLED)
+
+
+@pytest.mark.parametrize("size", [4, 5, 31, 32, 33, 47, 720])
+def test_map_rows_keeps_the_given_order(size):
+    # at two jobs, 32 rows are the first with chunks of two
+    perms = S6_SHUFFLED[:size]
+    assert map_rows(length, perms, 2) == [length(w) for w in perms]
+
+
+def test_map_rows_hands_the_pool_few_tasks(monkeypatch):
+    # each task is a round trip to the parent; S_6 goes in 16 of them
+    import multiprocessing.pool
+
+    chunks = []
+    pool_map = multiprocessing.pool.Pool.map
+
+    def spy(self, fn, iterable, chunksize=None):
+        chunks.append(chunksize)
+        return pool_map(self, fn, iterable, chunksize)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "map", spy)
+    assert map_rows(length, S6_SHUFFLED, 2) == [length(w) for w in S6_SHUFFLED]
+    assert len(chunks) == 1 and -(-720 // chunks[0]) <= 16
 
 
 def test_stats_for_group_rows_are_records_from_workers():

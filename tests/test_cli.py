@@ -125,14 +125,15 @@ def test_stats_group(capsys):
 
 
 def test_stats_deterministic_across_workers(capsys):
-    outputs = set()
-    for jobs in ("1", "2"):
-        code, out, _ = run(
-            capsys, "--jobs", jobs, "stats", "--n", "4", "--format", "csv"
-        )
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
+    # 24 rows go to the pool one per task, 120 in chunks of seven
+    for n in ("4", "5"):
+        outputs = set()
+        for jobs in ("1", "2"):
+            argv = ("--jobs", jobs, "stats", "--n", n, "--format", "csv")
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
 
 
 def test_stats_json_identical_across_workers(capsys):
@@ -857,3 +858,60 @@ def test_sigterm_during_startup_ends_quietly():
     result = signal_during_startup(signal.SIGTERM)
     assert result.returncode == 143
     assert result.stdout == b"" and result.stderr == b"terminated\n"
+
+
+def _alive(pid):
+    """Whether ``pid`` runs: present in /proc and not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="no /proc")
+@pytest.mark.parametrize("command", [SWEEP_S7, VERIFY_S7], ids=["stats", "verify"])
+def test_workers_end_after_parent_is_killed(command):
+    # SIGKILL leaves the pool no chance to terminate its workers; they are
+    # reparented and must notice on their own.  A worker also stops when
+    # it next sends a result to the dead parent, which on the first S_7
+    # theorem rows is minutes away, and on the sweep a whole chunk away.
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    import qbpd
+
+    src = str(Path(qbpd.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qbpd", "--jobs", "2", *command],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env=dict(os.environ, PYTHONPATH=src),
+        start_new_session=True,
+    )
+    children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.1)
+            with open(children) as f:
+                workers = [int(pid) for pid in f.read().split()]
+        assert len(workers) == 2
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_alive, workers))
+    finally:
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()

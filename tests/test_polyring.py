@@ -274,6 +274,26 @@ def test_packed_ring_ops_match_reference(case):
         assert terms == p.terms()
 
 
+packed_terms = st.dictionaries(
+    st.integers(0, 15), st.integers(-3, 3).filter(bool), max_size=6
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_terms, packed_terms, packed_terms, st.sets(st.integers(0, 30)))
+def test_mac_matches_reference(acc, poly, terms, cancel):
+    # small keys make products collide and cancel among themselves; acc
+    # holding minus the product at the keys in ``cancel`` cancels more
+    product = {}
+    for tk, tv in terms.items():
+        for k, v in poly.items():
+            product[k + tk] = product.get(k + tk, 0) + v * tv
+    acc.update((t, -c) for t, c in product.items() if c and t in cancel)
+    expected = ref_add(acc, product)
+    out = polyring._mac(acc, poly, terms.items())
+    assert out is acc and out == expected and all(out.values())
+
+
 @settings(max_examples=80, deadline=None)
 @given(poly_and_index, st.integers(0, 2))
 def test_packed_y_operators_match_reference(case, extra):
