@@ -27,7 +27,7 @@ def map_rows(fn, perms, jobs: int | None = None) -> list:
     is within 7%.  Chunks spare a round trip per row, and at eight per
     worker none of S_7's longest-first chunks outweighs a worker's share.
     SIGINT or SIGTERM here leaves the pool's block, which terminates the
-    workers; a worker whose parent dies outright ends within a second.
+    workers; a worker whose parent dies outright ends about a second later.
     """
     perms = list(perms)
     jobs = resolve_jobs(jobs)
@@ -50,7 +50,7 @@ def map_rows(fn, perms, jobs: int | None = None) -> list:
 
 def _worker_signals(parent: int):
     """Leave SIGINT to the parent; end at the SIGTERM of ``Pool.terminate``,
-    or once ``parent`` is gone (a SIGKILL leaves no one to terminate us)."""
+    or once ``parent`` is gone, since a killed parent terminates no one."""
     import signal
     import threading
 
