@@ -93,18 +93,20 @@ def _mac(acc: dict, poly: dict, terms) -> dict:
     zero sum is deleted as soon as it appears, so ``acc`` never holds a
     zero coefficient either.
     """
+    get = acc.get
     items = poly.items()
     for tk, tv in terms:
         for k, v in items:
             t = k + tk
-            if t in acc:
-                s = acc[t] + v * tv
+            s = get(t)
+            if s is None:
+                acc[t] = v * tv
+            else:
+                s += v * tv
                 if s:
                     acc[t] = s
                 else:
                     del acc[t]
-            else:
-                acc[t] = v * tv
     return acc
 
 

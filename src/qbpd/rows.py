@@ -42,28 +42,33 @@ def map_rows(fn, perms, jobs: int | None = None) -> list:
     stop = {signal.SIGINT, signal.SIGTERM}
     held = signal.pthread_sigmask(signal.SIG_BLOCK, stop)
     chunk = max(1, len(perms) // (8 * jobs))
-    with multiprocessing.Pool(jobs, _worker_signals, (os.getpid(),)) as pool:
+    # forked whatever the default start method (forkserver on Linux from
+    # Python 3.14): a worker then starts at once, as a child of this
+    # process and with all that it has loaded
+    fork = multiprocessing.get_context("fork")
+    with fork.Pool(jobs, _worker_signals) as pool:
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
         done = pool.map(fn, [perms[i] for i in order], chunksize=chunk)
     return [row for _, row in sorted(zip(order, done), key=lambda pair: pair[0])]
 
 
-def _worker_signals(parent: int):
+def _worker_signals():
     """Leave SIGINT to the parent; end at the SIGTERM of ``Pool.terminate``,
-    or once ``parent`` is gone, since a killed parent terminates no one."""
+    or once the parent is gone, since a killed parent terminates no one."""
     import signal
     import threading
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-    threading.Thread(target=_watch_parent, args=(parent,), daemon=True).start()
+    threading.Thread(target=_watch_parent, daemon=True).start()
 
 
-def _watch_parent(parent: int):
-    """End this process about a second after its parent ``parent`` dies."""
+def _watch_parent():
+    """End this process about a second after its parent dies."""
     import time
 
+    parent = os.getppid()
     while os.getppid() == parent:
         time.sleep(1)
     os._exit(1)

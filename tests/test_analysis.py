@@ -213,6 +213,34 @@ def test_map_rows_keeps_the_given_order(size):
     assert map_rows(length, perms, 2) == [length(w) for w in perms]
 
 
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_map_rows_whatever_the_default_start_method(method):
+    # from Python 3.14 the default on Linux is forkserver
+    import multiprocessing
+
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    src = str(Path(qbpd.__file__).resolve().parent.parent)
+    code = (
+        "import multiprocessing\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "from qbpd.analysis import enumerate_symmetric_group\n"
+        "from qbpd.perm import length\n"
+        "from qbpd.rows import map_rows\n"
+        "perms = list(enumerate_symmetric_group(5))\n"
+        "print(map_rows(length, perms, 2) == list(map(length, perms)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
+
+
 def test_map_rows_hands_the_pool_few_tasks(monkeypatch):
     # each task is a round trip to the parent; S_6 goes in 16 of them
     import multiprocessing.pool

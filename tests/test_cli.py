@@ -860,22 +860,38 @@ def test_sigterm_during_startup_ends_quietly():
     assert result.stdout == b"" and result.stderr == b"terminated\n"
 
 
-def _alive(pid):
-    """Whether ``pid`` runs: present in /proc and not a zombie."""
+def _stat(pid):
+    """The fields of /proc/<pid>/stat after the name, or None once gone."""
     try:
         with open(f"/proc/{pid}/stat") as f:
-            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+            return f.read().rsplit(")", 1)[1].split()
     except FileNotFoundError:
-        return False
+        return None
+
+
+def _alive(pid):
+    """Whether ``pid`` runs: present in /proc and not a zombie."""
+    fields = _stat(pid)
+    return fields is not None and fields[0] != "Z"
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="no /proc")
-@pytest.mark.parametrize("command", [SWEEP_S7, VERIFY_S7], ids=["stats", "verify"])
-def test_workers_end_after_parent_is_killed(command):
+@pytest.mark.parametrize(
+    "command, method",
+    [
+        pytest.param(SWEEP_S7, "fork", id="stats"),
+        pytest.param(VERIFY_S7, "fork", id="verify"),
+        pytest.param(SWEEP_S7, "spawn", id="stats-spawn"),
+        pytest.param(SWEEP_S7, "forkserver", id="stats-forkserver"),
+    ],
+)
+def test_workers_end_after_parent_is_killed(command, method):
     # SIGKILL leaves the pool no chance to terminate its workers; they are
     # reparented and must notice on their own.  A worker also stops when
     # it next sends a result to the dead parent, which on the first S_7
     # theorem rows is minutes away, and on the sweep a whole chunk away.
+    # Whatever the default start method, the workers are the children.
+    import multiprocessing
     import subprocess
     import sys
     import time
@@ -883,22 +899,31 @@ def test_workers_end_after_parent_is_killed(command):
 
     import qbpd
 
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
     src = str(Path(qbpd.__file__).resolve().parent.parent)
+    code = (
+        "import multiprocessing, sys\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "from qbpd.__main__ import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
     proc = subprocess.Popen(
-        [sys.executable, "-m", "qbpd", "--jobs", "2", *command],
+        [sys.executable, "-c", code, "--jobs", "2", *command],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         env=dict(os.environ, PYTHONPATH=src),
         start_new_session=True,
     )
     children = f"/proc/{proc.pid}/task/{proc.pid}/children"
-    workers = []
+    workers = {}
     try:
         deadline = time.monotonic() + 30
         while len(workers) < 2 and time.monotonic() < deadline:
             time.sleep(0.1)
             with open(children) as f:
-                workers = [int(pid) for pid in f.read().split()]
+                # each with its start time, field 22 of /proc/<pid>/stat
+                workers = {int(pid): _stat(int(pid))[19] for pid in f.read().split()}
         assert len(workers) == 2
         proc.kill()
         proc.wait()
@@ -907,11 +932,12 @@ def test_workers_end_after_parent_is_killed(command):
             time.sleep(0.1)
         assert not any(map(_alive, workers))
     finally:
-        for pid in workers:
-            try:
+        # a pid that has ended may already name another process: kill only
+        # the workers still running with the start time they had here
+        for pid, started in workers.items():
+            fields = _stat(pid)
+            if fields is not None and fields[0] != "Z" and fields[19] == started:
                 os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
         if proc.poll() is None:
             proc.kill()
             proc.wait()
