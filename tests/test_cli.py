@@ -922,8 +922,9 @@ def test_workers_end_after_parent_is_killed(command, method):
         while len(workers) < 2 and time.monotonic() < deadline:
             time.sleep(0.1)
             with open(children) as f:
-                # each with its start time, field 22 of /proc/<pid>/stat
-                workers = {int(pid): _stat(int(pid))[19] for pid in f.read().split()}
+                found = {int(pid): _stat(int(pid)) for pid in f.read().split()}
+            # each with its start time, field 22 of /proc/<pid>/stat
+            workers = {pid: fields[19] for pid, fields in found.items() if fields}
         assert len(workers) == 2
         proc.kill()
         proc.wait()
@@ -937,7 +938,10 @@ def test_workers_end_after_parent_is_killed(command, method):
         for pid, started in workers.items():
             fields = _stat(pid)
             if fields is not None and fields[0] != "Z" and fields[19] == started:
-                os.kill(pid, signal.SIGKILL)
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:  # ended since
+                    pass
         if proc.poll() is None:
             proc.kill()
             proc.wait()
