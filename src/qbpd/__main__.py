@@ -1,33 +1,35 @@
-"""``python -m qbpd`` and the ``qbpd`` script.
+"""``python -m qbpd`` and the ``qbpd`` script: how a run stops.
 
-Ctrl-C and SIGTERM end the command as in a verb, also while it loads: exit
-130 with ``interrupted``, or 143 with ``terminated``, as the one stderr line.
+From this module's first line, SIGINT and SIGTERM raise
+``KeyboardInterrupt(signum)``, so a run unwinds as on Ctrl-C, and a pool's
+block terminates its workers before the command exits.  ``main`` catches it
+while ``cli`` loads and while the verb runs, writes ``interrupted`` (SIGINT)
+or ``terminated`` (SIGTERM) as the one stderr line and returns
+128 + signum: 130 or 143.
 """
 
-import os
 import signal
+import sys
 
 
-def _quit(signum, frame):
-    os.write(2, b"interrupted\n" if signum == signal.SIGINT else b"terminated\n")
-    os._exit(128 + signum)
+def _stop(signum, frame):
+    raise KeyboardInterrupt(signum)
 
 
-signal.signal(signal.SIGINT, _quit)
-signal.signal(signal.SIGTERM, _quit)
-
-from . import cli  # noqa: E402
-from .errors import Terminated  # noqa: E402
-
-
-def _terminate(signum, frame):
-    raise Terminated
+signal.signal(signal.SIGINT, _stop)
+signal.signal(signal.SIGTERM, _stop)
 
 
 def main(argv=None) -> int:
-    signal.signal(signal.SIGINT, signal.default_int_handler)
-    signal.signal(signal.SIGTERM, _terminate)
-    return cli.main(argv)
+    try:
+        from . import cli
+
+        return cli.main(argv)
+    except KeyboardInterrupt as exc:
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        word = "terminated" if signum == signal.SIGTERM else "interrupted"
+        print(word, file=sys.stderr)
+        return 128 + signum
 
 
 if __name__ == "__main__":

@@ -5,12 +5,13 @@ the three routes), ``stats`` (cancellation statistics and sweeps),
 ``verify`` (invariant suites) and ``render`` (ASCII/SVG drawings).
 
 Exit codes: 0 success, 1 a verification failed, 2 usage or parse error,
-a size that needs ``--force`` or a run out of memory, 130 interrupted
-(Ctrl-C) and 143 terminated (SIGTERM), each word the one stderr line.  A
-reader that closes stdout early ends the command quietly with 0, and any
-other failure to write stdout exits 2.  Each verb, ``poly`` mode and
-``verify`` check imports only the modules it runs, when it runs.  ``--jobs``
-sets the worker processes of ``stats --n`` and of every ``verify`` check.
+a size that needs ``--force`` or a run out of memory.  A reader that
+closes stdout early ends the command quietly with 0, and any other failure
+to write stdout exits 2.  Exit codes 130 (Ctrl-C) and 143 (SIGTERM) are
+set in ``qbpd.__main__``, which owns how a run stops.  Each verb, ``poly``
+mode and ``verify`` check imports only the modules it runs, when it runs.
+``--jobs`` sets the worker processes of ``stats --n`` and of every
+``verify`` check.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ import sys
 from functools import partial
 from itertools import chain
 
-from .errors import NotABijection, OutOfRange, SizeLimit, Terminated
+from .errors import NotABijection, OutOfRange, SizeLimit
 from .perm import Permutation, embed, enumerate_symmetric_group, parse_permutation
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-INTERRUPTED = 130
-TERMINATED = 143
 
 
 def _size_guard(args, n: int):
@@ -344,12 +343,6 @@ def main(argv=None) -> int:
     except (NotABijection, OutOfRange, SizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except Terminated:
-        print("terminated", file=sys.stderr)
-        return TERMINATED
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return INTERRUPTED
     except MemoryError:
         pass  # reported below, once the handler has let go of the run's frames
     except OSError as exc:
@@ -362,7 +355,3 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     print(f"error: {args.verb if args else 'qbpd'} ran out of memory", file=sys.stderr)
     return USAGE_ERROR
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -31,7 +31,3 @@ class HasDominoes(ValueError):
 
 class SizeLimit(ValueError):
     """The requested size exceeds the supported limit."""
-
-
-class Terminated(KeyboardInterrupt):
-    """SIGTERM, raised so that it unwinds a run as Ctrl-C does."""

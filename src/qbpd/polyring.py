@@ -64,9 +64,10 @@ def _narrow(n: int) -> _Layout:
     """The layout of the weight sum's keys: fields just wide enough for n.
 
     Those keys only multiply within the weight of one diagram or of its
-    columns east of a boundary, whose exponents are at most n (a cell adds
-    at most one x_i or q_i of its row or y_j of its column), so narrow
-    fields never carry; they keep the keys small.
+    columns east of a boundary.  No exponent there passes n, since a cell
+    adds one x_i or q_i of its row or y_j of its column at most, and a row,
+    a column and a q-row each have at most n cells; so narrow fields never
+    carry, and they keep the keys small.
     """
     return _layout(n, (n + 1).bit_length())
 

@@ -27,7 +27,9 @@ def map_rows(fn, perms, jobs: int | None = None) -> list:
     is within 7%.  Chunks spare a round trip per row, and at eight per
     worker none of S_7's longest-first chunks outweighs a worker's share.
     SIGINT or SIGTERM here leaves the pool's block, which terminates the
-    workers; a worker whose parent dies outright ends about a second later.
+    workers.  A worker whose parent dies outright ends within a second of
+    that death, however early it comes, since it knows its parent's pid
+    from the fork.
     """
     perms = list(perms)
     jobs = resolve_jobs(jobs)
@@ -46,29 +48,29 @@ def map_rows(fn, perms, jobs: int | None = None) -> list:
     # Python 3.14): a worker then starts at once, as a child of this
     # process and with all that it has loaded
     fork = multiprocessing.get_context("fork")
-    with fork.Pool(jobs, _worker_signals) as pool:
+    with fork.Pool(jobs, _worker_signals, (os.getpid(),)) as pool:
         signal.pthread_sigmask(signal.SIG_SETMASK, held)
         done = pool.map(fn, [perms[i] for i in order], chunksize=chunk)
     return [row for _, row in sorted(zip(order, done), key=lambda pair: pair[0])]
 
 
-def _worker_signals():
+def _worker_signals(parent: int):
     """Leave SIGINT to the parent; end at the SIGTERM of ``Pool.terminate``,
-    or once the parent is gone, since a killed parent terminates no one."""
+    or once ``parent`` is gone, since a killed parent terminates no one."""
     import signal
     import threading
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-    threading.Thread(target=_watch_parent, daemon=True).start()
+    threading.Thread(target=_watch_parent, args=(parent,), daemon=True).start()
 
 
-def _watch_parent():
-    """End this process about a second after its parent dies."""
+def _watch_parent(parent: int):
+    """End this process once ``parent``, the pid that forked it, is gone: at
+    the first check if it died first, else within a second of its death."""
     import time
 
-    parent = os.getppid()
     while os.getppid() == parent:
         time.sleep(1)
     os._exit(1)

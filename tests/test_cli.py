@@ -877,20 +877,23 @@ def _alive(pid):
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="no /proc")
 @pytest.mark.parametrize(
-    "command, method",
+    "command, method, delay",
     [
-        pytest.param(SWEEP_S7, "fork", id="stats"),
-        pytest.param(VERIFY_S7, "fork", id="verify"),
-        pytest.param(SWEEP_S7, "spawn", id="stats-spawn"),
-        pytest.param(SWEEP_S7, "forkserver", id="stats-forkserver"),
+        pytest.param(SWEEP_S7, "fork", 0, id="stats"),
+        pytest.param(VERIFY_S7, "fork", 0, id="verify"),
+        pytest.param(SWEEP_S7, "spawn", 0, id="stats-spawn"),
+        pytest.param(SWEEP_S7, "forkserver", 0, id="stats-forkserver"),
+        pytest.param(SWEEP_S7, "fork", 0.5, id="stats-late-watcher"),
     ],
 )
-def test_workers_end_after_parent_is_killed(command, method):
+def test_workers_end_after_parent_is_killed(command, method, delay):
     # SIGKILL leaves the pool no chance to terminate its workers; they are
     # reparented and must notice on their own.  A worker also stops when
     # it next sends a result to the dead parent, which on the first S_7
     # theorem rows is minutes away, and on the sweep a whole chunk away.
     # Whatever the default start method, the workers are the children.
+    # ``delay`` holds each worker's initializer back, so that the kill
+    # lands before its watcher starts: the watcher must still notice.
     import multiprocessing
     import subprocess
     import sys
@@ -905,6 +908,9 @@ def test_workers_end_after_parent_is_killed(command, method):
     code = (
         "import multiprocessing, sys\n"
         f"multiprocessing.set_start_method({method!r})\n"
+        "import time, qbpd.rows\n"
+        "init = qbpd.rows._worker_signals\n"
+        f"qbpd.rows._worker_signals = lambda *a: (time.sleep({delay}), init(*a))\n"
         "from qbpd.__main__ import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )

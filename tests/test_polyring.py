@@ -12,7 +12,7 @@ from qbpd.oracle import (
     quantum_double_schubert_transition,
 )
 from qbpd.perm import enumerate_symmetric_group
-from qbpd.polyring import Poly
+from qbpd.polyring import Poly, _narrow
 
 from conftest import random_poly
 
@@ -379,6 +379,14 @@ def test_from_packed_and_text_match_reference(case):
     p = Poly._from_packed(n, iter(parts))
     assert p.terms() == f
     assert p.canonical_text() == ref_text(f, n)
+
+
+def test_narrow_fields_hold_every_exponent_up_to_n_12():
+    # n is the largest exponent one diagram's weight carries; a field too
+    # narrow for it would carry into its neighbour
+    for n in range(1, 13):
+        key = sum(n << s for s in _narrow(n).shifts)
+        assert Poly._from_packed(n, [{key: 1}]).terms() == {(n,) * (3 * n - 1): 1}
 
 
 wide_case = st.integers(1, 4).flatmap(
