@@ -67,12 +67,12 @@ def cmd_enum(args) -> int:
     from .diagram import flat_text
 
     w = _sized_perm(args, args.perm)
-    ds = flat_diagrams(w, unpaired=args.unpaired)
+    tilings = flat_diagrams(w, unpaired=args.unpaired)
     if args.out and not args.count:  # first, so a failed write prints no count
-        _write([flat_text(w.n, ds)], args.out)
-    print(len(ds))
+        _write(flat_text(w.n, tilings), args.out)
+    print(sum(len(sets) for _, sets in tilings))
     if not (args.out or args.count):
-        sys.stdout.write(flat_text(w.n, ds))
+        _write(flat_text(w.n, tilings), None)
     return 0
 
 
@@ -266,7 +266,8 @@ def cmd_render(args) -> int:
         D = ds[_pick(len(ds), args.index)]
     else:
         w = _sized_perm(args, args.target)
-        pool = flat_diagrams(w, unpaired=args.unpaired)
+        tilings = flat_diagrams(w, unpaired=args.unpaired)
+        pool = [(tiles, s) for tiles, sets in tilings for s in sets]
         D = Diagram.from_flat(w.n, *pool[_pick(len(pool), args.index)])
     text = render_svg(D) if args.format == "svg" else render_ascii(D)
     _write([text], args.out)

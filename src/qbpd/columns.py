@@ -131,11 +131,11 @@ def column_graph(w: Permutation) -> list[dict]:
 
 
 def flat_diagrams(w: Permutation, unpaired: bool = False):
-    """Every diagram of w as a ``(tile bytes, sorted dominoes)`` pair.
+    """Every tiling of w with its domino sets: ``(tile bytes, [sets, ...])``.
 
-    One tiling per path of :func:`column_graph`, each followed by its
-    domino pairings unless ``unpaired``.  The list is in ``canonical_key``
-    order and no :class:`Diagram` is built.
+    One tiling per path of :func:`column_graph`, in ``canonical_key``
+    order, with its sorted domino tuples in that order, or ``[()]`` when
+    ``unpaired``; each set makes one diagram.  No :class:`Diagram` is built.
     """
     n = w.n
     layers = column_graph(w)
@@ -154,6 +154,4 @@ def flat_diagrams(w: Permutation, unpaired: bool = False):
 
     walk(0, tuple(range(n)), [])
     tilings.sort()
-    if unpaired:
-        return [(tiles, ()) for tiles in tilings]
-    return [(tiles, dominoes) for tiles in tilings for dominoes in _pairings(tiles, n)]
+    return [(tiles, [()] if unpaired else _pairings(tiles, n)) for tiles in tilings]

@@ -356,25 +356,23 @@ def canonical_key(D: Diagram) -> bytes:
     return bytes([D.n, *D.flat(), 255, *chain.from_iterable(sorted(D.dominoes))])
 
 
-def flat_text(n: int, diagrams) -> str:
-    """The text of ``(tile bytes, sorted dominoes)`` pairs, blank-line separated.
+def flat_text(n: int, tilings):
+    """The text of ``(tile bytes, domino sets)`` tilings, one piece per tiling.
 
-    Each tiling's grid lines are formatted once, however many domino sets
-    follow it.
+    A piece holds one diagram per domino set, each the tiling's grid lines,
+    formatted once, then its domino lines.  Diagrams are blank-line
+    separated, so every piece but the first starts with a blank line.
     """
-    blocks = []
-    last = grid = None
-    for tiles, dominoes in diagrams:
-        if tiles != last:
-            chars = tiles.translate(_TEXT).decode()
-            rows = [chars[i : i + n] for i in range(0, n * n, n)]
-            last, grid = tiles, "\n".join([str(n), *rows]) + "\n"
-        blocks.append(grid + "".join(f"{r},{c}\n" for r, c in dominoes))
-    return "\n".join(blocks)
+    for k, (tiles, sets) in enumerate(tilings):
+        chars = tiles.translate(_TEXT).decode()
+        rows = [chars[i : i + n] for i in range(0, n * n, n)]
+        grid = "\n".join(["", str(n), *rows, ""])  # a blank line, then the grid
+        piece = grid.join(["", *("".join(f"{r},{c}\n" for r, c in s) for s in sets)])
+        yield piece if k else piece[1:]
 
 
 def diagram_to_text(D: Diagram) -> str:
-    return flat_text(D.n, [(D.flat(), sorted(D.dominoes))])
+    return "".join(flat_text(D.n, [(D.flat(), [sorted(D.dominoes)])]))
 
 
 def diagram_from_text(text: str) -> Diagram:

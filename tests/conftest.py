@@ -74,7 +74,11 @@ def cancellation_free(w: Permutation) -> bool:
 
 def column_diagrams(w: Permutation) -> set[Diagram]:
     """The diagrams of w on the paths of the column-state graph, as objects."""
-    return {Diagram.from_flat(w.n, tiles, doms) for tiles, doms in flat_diagrams(w)}
+    return {
+        Diagram.from_flat(w.n, tiles, dominoes)
+        for tiles, sets in flat_diagrams(w)
+        for dominoes in sets
+    }
 
 
 # The non-example grid: the pipe entering on row 3 moves rightward through

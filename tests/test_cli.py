@@ -359,6 +359,61 @@ def test_enum_golden_output_s5(capsys):
     assert h.hexdigest() == "6fa076c0c51c6204ae663d8e807fc813"
 
 
+@pytest.mark.parametrize(
+    "argv, count, digest",
+    [
+        # long blank runs: many domino sets per tiling
+        (["7165432"], 25800, "684cf871c3450eb086d6f4b87886ba1e"),
+        (["7165432", "--unpaired"], 720, "1bc192e2fed3fc943e3a8b290debaba1"),
+        # two-digit size line and domino cells
+        (
+            ["2,10,1,3,4,5,6,7,8,9", "--force"],
+            2994,
+            "ff9910bd967d9f08e9022fb0394b202f",
+        ),
+    ],
+    ids=["s7-paired", "s7-unpaired", "s10-two-digit"],
+)
+def test_enum_golden_output_beyond_s5(capsys, argv, count, digest):
+    # pinned from the enumerator that listed one entry per diagram
+    code, out, _ = run(capsys, "enum", *argv)
+    assert code == 0 and out.split("\n", 1)[0] == str(count)
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+def test_enum_out_file_is_stdout_after_the_count(tmp_path, capsys):
+    path = tmp_path / "e.txt"
+    code, out, _ = run(capsys, "enum", "7165432", "--out", str(path))
+    assert code == 0 and out == "25800\n"
+    data = path.read_bytes()
+    assert hashlib.md5(data).hexdigest() == "b481dfb7842b584f4f6e5601c0f04ef1"
+    _, out, _ = run(capsys, "enum", "7165432")
+    assert out.encode() == b"25800\n" + data
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--index", "25800"], "fb470f2e68a745c8e1b523d2075be00e"),
+        (
+            ["--unpaired", "--index", "720", "--format", "svg"],
+            "174e733f21106034c7a22064782d53b8",
+        ),
+    ],
+    ids=["last-paired-ascii", "last-unpaired-svg"],
+)
+def test_render_perm_last_index_s7(capsys, argv, digest):
+    code, out, _ = run(capsys, "render", "7165432", *argv)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+def test_render_perm_index_past_the_last_diagram(capsys):
+    code, out, err = run(capsys, "render", "7165432", "--index", "25801")
+    assert code == 2 and out == ""
+    assert err == "error: index 25801 out of range 1..25800\n"
+
+
 def test_poly_json_golden_output_s4(capsys):
     # md5 over `poly w --format json` in every mode for every w in S_1..S_4,
     # and 632541 by the weight sum, pinned before JSON was decoded by block

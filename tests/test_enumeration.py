@@ -57,7 +57,8 @@ def test_flat_diagrams_are_in_canonical_order():
     for w in SMALL:
         listed = [
             Diagram.from_flat(w.n, tiles, dominoes)
-            for tiles, dominoes in flat_diagrams(w)
+            for tiles, sets in flat_diagrams(w)
+            for dominoes in sets
         ]
         assert listed == sorted(enumerate_qbpds(w), key=canonical_key)
         unpaired = [tiles for tiles, _ in flat_diagrams(w, unpaired=True)]

@@ -12,8 +12,9 @@ _ARC = re.compile(r'<path d="M (\d+) (\d+) A (\d+) (\d+) 0 0 1 (\d+) (\d+)"')
 def _diagrams(sizes):
     for n in sizes:
         for w in enumerate_symmetric_group(n):
-            for tiles, dominoes in flat_diagrams(w):
-                yield Diagram.from_flat(n, tiles, dominoes)
+            for tiles, sets in flat_diagrams(w):
+                for dominoes in sets:
+                    yield Diagram.from_flat(n, tiles, dominoes)
 
 
 def _arc_centre(x1, y1, x2, y2):
