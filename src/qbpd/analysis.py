@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .diagram import _B, _NE, _SW, _X, S, Diagram, _valid_trace
-from .columns import column_graph
+from .columns import walk
 from .perm import Permutation, enumerate_symmetric_group
 from .polyring import Poly, _mac, _narrow
 from .rows import map_rows
@@ -170,16 +170,16 @@ def _slices(plan: dict):
 def _accumulate(w: Permutation):
     """(plan of the q-slices of T_w, sum of 2^{|E|}, number of diagrams).
 
-    A dynamic program over the column-state graph, east to west: each
-    state keeps the summed weights of the partial diagrams reaching it,
-    split by q-part, with their expanded-term count and diagram count, and
-    a filling multiplies them by its column's weight.  Dominoes pair only
-    vertically adjacent blanks of one column, so one column weight covers
-    all pairings of its filling.  Every part is kept as its product pairs
-    (state polynomial, weight terms), and :func:`_slice` sums them into a
-    packed term dict only when its state is spent.  Terms with different
-    q-parts never cancel, so the parts of the west edge's one state ``()``
-    are the plan: each maps a target q-part to the pairs of one slice.
+    A dynamic program on :func:`columns.walk`, east to west: each state
+    keeps the summed weights of the partial diagrams reaching it, split by
+    q-part, with their expanded-term count and diagram count, and a filling
+    multiplies them by its column's weight.  Dominoes pair only vertically
+    adjacent blanks of one column, so one column weight covers all pairings
+    of its filling.  Every part is kept as its product pairs (state
+    polynomial, weight terms), and :func:`_slice` sums them into a packed
+    term dict only when its state is spent.  Terms with different q-parts
+    never cancel, so the parts of the west edge's value are the plan: each
+    maps a target q-part to the pairs of one slice.
 
     Next to its pairs, each part carries the set of |NQ| parities of the
     partial diagrams reaching it; parts that merge join their sets, so a
@@ -187,32 +187,27 @@ def _accumulate(w: Permutation):
     of w with its q-part.
     """
     n = w.n
-    # state -> [{q-part: [parities, [(state poly, weight terms), ...]]}, G, F]
-    cur = {tuple(range(n)): [{0: [1, [({0: 1}, ((0, 1),))]]}, 1, 1]}
-    for depth, layer in enumerate(column_graph(w)):
-        c = n - 1 - depth
-        nxt: dict = {}
-        # each state is freed once spent: the next boundary grows as this
-        # one shrinks
-        while cur:
-            state, (parts, g, f) = cur.popitem()
-            built = [(qa, bits, _slice(pairs)) for qa, (bits, pairs) in parts.items()]
-            for new, tiles in layer[state]:
-                wparts, tg, tf, odd = _column_weight(n, c, tiles)
-                entry = nxt.setdefault(new, [{}, 0, 0])
-                acc = entry[0]
-                for qa, bits, poly in built:
-                    bits = _FLIP[bits] if odd else bits
-                    for qb, terms in wparts.items():
-                        part = acc.get(qa + qb)
-                        if part is None:
-                            part = acc[qa + qb] = [0, []]
-                        part[0] |= bits
-                        part[1].append((poly, terms))
-                entry[1] += g * tg
-                entry[2] += f * tf
-        cur = nxt
-    ((plan, total_g, total_f),) = cur.values()
+
+    # a state's value: [{q-part: [parities, [(state poly, weight terms), ...]]}, G, F]
+    def extend(c, value, moves, nxt):
+        parts, g, f = value
+        built = [(qa, bits, _slice(pairs)) for qa, (bits, pairs) in parts.items()]
+        for new, tiles in moves:
+            wparts, tg, tf, odd = _column_weight(n, c, tiles)
+            entry = nxt.setdefault(new, [{}, 0, 0])
+            acc = entry[0]
+            for qa, bits, poly in built:
+                bits = _FLIP[bits] if odd else bits
+                for qb, terms in wparts.items():
+                    part = acc.get(qa + qb)
+                    if part is None:
+                        part = acc[qa + qb] = [0, []]
+                    part[0] |= bits
+                    part[1].append((poly, terms))
+            entry[1] += g * tg
+            entry[2] += f * tf
+
+    plan, total_g, total_f = walk(w, [{0: [1, [({0: 1}, ((0, 1),))]]}, 1, 1], extend)
     return plan, total_g, total_f
 
 

@@ -102,9 +102,6 @@ def _stats_dict(s) -> dict:
     return {**s._asdict(), "perm": s.perm.to_text()}
 
 
-CSV_HEADER = "perm,poly_monomials,qbpd_monomials,cancellations,qbpd_count"
-
-
 def cmd_stats(args) -> int:
     import json
 
@@ -114,21 +111,18 @@ def cmd_stats(args) -> int:
         print("error: give exactly one of --n or --perm", file=sys.stderr)
         return USAGE_ERROR
     if args.perm is not None:
-        s = analysis.cancellation_stats(_sized_perm(args, args.perm))
-        if args.format == "csv":
-            _write([f"{CSV_HEADER}\n{s.perm.to_text()},{_stats_text(s)}\n"], args.out)
-        elif args.format == "json":
-            _write([json.dumps(_stats_dict(s)) + "\n"], args.out)
-        else:
-            _write([_stats_text(s) + "\n"], args.out)
-        return 0
-    _size_guard(args, args.n)
-    rows = analysis.stats_for_group(args.n, jobs=args.jobs)
-    summary = analysis.summarize(args.n, rows)
+        rows = [analysis.cancellation_stats(_sized_perm(args, args.perm))]
+    else:
+        _size_guard(args, args.n)
+        rows = analysis.stats_for_group(args.n, jobs=args.jobs)
+        summary = analysis.summarize(args.n, rows)
     if args.format == "csv":
-        lines = [CSV_HEADER]
-        lines += [f"{s.perm.to_text()},{_stats_text(s)}" for s in rows]
-        _write(["\n".join(lines) + "\n"], args.out)
+        header = ",".join(analysis.CancellationStats._fields)
+        lines = chain([header], (f"{s.perm.to_text()},{_stats_text(s)}" for s in rows))
+    elif args.perm is not None:
+        (s,) = rows
+        line = json.dumps(_stats_dict(s)) if args.format == "json" else _stats_text(s)
+        lines = [line]
     elif args.format == "json":
         table = {
             "n": args.n,
@@ -138,13 +132,13 @@ def cmd_stats(args) -> int:
             "argmax": summary.argmax.to_text(),
             "rows": [_stats_dict(s) for s in rows],
         }
-        _write([json.dumps(table) + "\n"], args.out)
+        lines = [json.dumps(table)]
     else:
-        line = (
+        lines = [
             f"S_{args.n} total={summary.total} average={summary.average:.3f}"
-            f" max={summary.max_cancellations} argmax={summary.argmax.to_text()}\n"
-        )
-        _write([line], args.out)
+            f" max={summary.max_cancellations} argmax={summary.argmax.to_text()}"
+        ]
+    _write((f"{line}\n" for line in lines), args.out)
     return 0
 
 

@@ -18,10 +18,11 @@ The relative order of two pipes changes only where they cross, so the last
 rule is exactly "no two pipes cross twice": reducedness is local.  The
 fillings along a path from the east edge to the west edge are the columns
 of one unpaired diagram of w, and every unpaired diagram is one such path.
-:func:`flat_diagrams` walks the paths for ``enum`` and ``render``, and the
-weight sum in ``analysis`` runs a dynamic program over the same graph.  The
-graph never uses droop or lift moves, so the walk and the move closure in
-``moves`` are independent checks of each other.
+:func:`walk` is the one traversal of the graph; its callers say only what
+a state carries.  :func:`flat_diagrams` carries the paths' tiles for
+``enum`` and ``render``, and the weight sum in ``analysis`` carries
+polynomials.  The graph never uses droop or lift moves, so the walk and the
+move closure in ``moves`` are independent checks of each other.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 from .diagram import _B, _ES, _EW, _NE, _NS, _SW, _WN, _X, _pairings
 from .perm import Permutation
 
-__all__: list[str] = []  # both functions trade in raw tile bytes
+__all__: list[str] = []  # the walk trades in raw states and tile bytes
 
 _FREE, _DOWN, _UP = 0, 1, 2
 
@@ -108,50 +109,50 @@ def _column_moves(rows: tuple[int, ...], k: int, n: int):
     return tuple(moves)
 
 
-def column_graph(w: Permutation) -> list[dict]:
-    """The reachable states of w and their fillings, column by column.
+def walk(w: Permutation, start, extend):
+    """The west edge's value, carried east to west over every path of w.
 
-    Returns one dict per column, from column n (east) to column 1 (west),
-    mapping each state reachable on the column's east side to its tuple of
-    ``(next state, tiles)`` fillings.  The west edge has the one state
-    ``()``; a state with no path to it has no filling or leads only to
-    such states.
+    Each boundary maps every reachable state to one value, from
+    ``{tuple(range(n)): start}`` at the east edge.  Column by column, a
+    state's value goes to ``extend(c, value, moves, nxt)``, with ``c`` the
+    0-based column, ``moves`` the state's ``((next state, tiles), ...)``
+    fillings and ``nxt`` the next boundary's dict, which ``extend`` fills.
+    A state with no path to the west edge ends where its fillings do, and
+    the west edge has the one state ``()``.
     """
     n = w.n
     present = list(range(n))
-    states = {tuple(present)}
-    layers = []
+    cur = {tuple(present): start}
     for c in range(n - 1, -1, -1):
         k = present.index(w.images.index(c + 1))
-        layer = {s: _column_moves(s, k, n) for s in states}
-        layers.append(layer)
         del present[k]
-        states = {new for moves in layer.values() for new, _ in moves}
-    return layers
+        nxt: dict = {}
+        # each state is freed once spent: the next boundary grows as this
+        # one shrinks
+        while cur:
+            state, value = cur.popitem()
+            extend(c, value, _column_moves(state, k, n), nxt)
+        cur = nxt
+    (value,) = cur.values()
+    return value
 
 
 def flat_diagrams(w: Permutation, unpaired: bool = False):
     """Every tiling of w with its domino sets: ``(tile bytes, [sets, ...])``.
 
-    One tiling per path of :func:`column_graph`, in ``canonical_key``
-    order, with its sorted domino tuples in that order, or ``[()]`` when
-    ``unpaired``; each set makes one diagram.  No :class:`Diagram` is built.
+    The states of :func:`walk` carry the column-major tiles of their
+    partial paths, so the west edge holds one tiling per path.  The tilings
+    come in ``canonical_key`` order, each with its sorted domino tuples in
+    that order, or ``[()]`` when ``unpaired``; each set makes one diagram.
+    No :class:`Diagram` is built.
     """
     n = w.n
-    layers = column_graph(w)
-    tilings = []
 
-    def walk(depth: int, state, cols):
-        if depth == n:
-            # ``cols`` runs east to west; join it west to east, column-major
-            by_col = b"".join(reversed(cols))
-            tilings.append(b"".join(by_col[r::n] for r in range(n)))
-            return
-        for new, tiles in layers[depth][state]:
-            cols.append(tiles)
-            walk(depth + 1, new, cols)
-            cols.pop()
+    def extend(c, prefixes, moves, nxt):
+        for new, tiles in moves:
+            nxt.setdefault(new, []).extend([tiles + p for p in prefixes])
 
-    walk(0, tuple(range(n)), [])
+    # each walked tiling runs west to east, column-major; transpose it
+    tilings = [b"".join(t[r::n] for r in range(n)) for t in walk(w, [b""], extend)]
     tilings.sort()
     return [(tiles, [()] if unpaired else _pairings(tiles, n)) for tiles in tilings]

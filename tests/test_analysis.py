@@ -289,7 +289,7 @@ def test_column_weight_counts_are_run_continuants_s7():
     from itertools import groupby
 
     from qbpd.analysis import _column_weight
-    from qbpd.columns import column_graph
+    from qbpd.columns import walk
     from qbpd.diagram import TileKind
 
     G, F = {-1: 0, 0: 1}, {-1: 0, 0: 1}  # by run length
@@ -303,14 +303,16 @@ def test_column_weight_counts_are_run_continuants_s7():
                 return t == TileKind.NE
         return False
 
-    fillings = {
-        (n, n - 1 - depth, tiles)
-        for n in range(1, 8)
-        for w in enumerate_symmetric_group(n)
-        for depth, layer in enumerate(column_graph(w))
-        for moves in layer.values()
-        for _, tiles in moves
-    }
+    fillings = set()
+
+    def extend(c, n, moves, nxt):
+        for new, tiles in moves:
+            fillings.add((n, c, tiles))
+            nxt[new] = n
+
+    for n in range(1, 8):
+        for w in enumerate_symmetric_group(n):
+            walk(w, n, extend)
     assert len(fillings) == 2703
     exact = []
     for n, c, tiles in sorted(fillings):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -5,6 +6,8 @@ import signal
 
 import pytest
 
+import qbpd.analysis
+from qbpd.analysis import cancellation_stats
 from qbpd.cli import main
 from qbpd.perm import enumerate_symmetric_group
 from qbpd.polyring import Poly
@@ -144,6 +147,47 @@ def test_stats_json_identical_across_workers(capsys):
         assert code == 0
         digests.add(hashlib.md5(out.encode()).hexdigest())
     assert digests == {"80c7c609884643888c31b9a0a614e360"}
+
+
+_heavy_row_stats = functools.cache(cancellation_stats)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["stats", "--perm", "7165432"], "7c1313cec50d3129256ab12d2be83488"),
+        (
+            ["stats", "--perm", "7165432", "--format", "csv"],
+            "299476bf5f9392970befa2c03523c1f1",
+        ),
+        (
+            ["stats", "--perm", "7165432", "--format", "json"],
+            "c23907bb8d1ff15825a0f12d0e7f8161",
+        ),
+        (["--jobs", "2", "stats", "--n", "5"], "5f64ca451b4a38b59ad43e75b6115a96"),
+        (
+            ["--jobs", "2", "stats", "--n", "5", "--format", "csv"],
+            "14151fb70c500d37c6c30f904b5adf26",
+        ),
+        (
+            ["--jobs", "2", "stats", "--n", "5", "--format", "json"],
+            "1b4adfc414ffcf02588395c13d9e3dbe",
+        ),
+    ],
+    ids=["perm-text", "perm-csv", "perm-json", "n5-text", "n5-csv", "n5-json"],
+)
+def test_stats_golden_output(tmp_path, monkeypatch, capsys, argv, digest):
+    # pinned from the writer that built each output whole
+    if "--perm" in argv:  # the heavy row is computed once for its three formats
+        monkeypatch.setattr(qbpd.analysis, "cancellation_stats", _heavy_row_stats)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+    if "--n" in argv:  # a sweep writes the same bytes to a file
+        path = tmp_path / "s.txt"
+        code, out, _ = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (0, "")
+        assert hashlib.md5(path.read_bytes()).hexdigest() == digest
 
 
 def test_bad_jobs_exit_2(capsys):

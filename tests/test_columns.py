@@ -10,7 +10,7 @@ from qbpd.analysis import (
     cancellation_stats,
     weight_cells,
 )
-from qbpd.columns import _column_moves, column_graph, flat_diagrams
+from qbpd.columns import _column_moves, flat_diagrams, walk
 from qbpd.moves import _closure, enumerate_qbpds
 from qbpd.oracle import quantum_double_schubert_transition
 from qbpd.perm import enumerate_symmetric_group, make_permutation, parse_permutation
@@ -136,8 +136,40 @@ def test_fillings_of_a_state_are_distinct():
     # a state and its filling's tiles fix the next state, so distinct
     # fillings make distinct paths: the set comparison above hides no
     # duplicate diagram
+    def extend(c, _, moves, nxt):
+        assert len({tiles for _, tiles in moves}) == len(moves)
+        nxt.update(moves)
+
     for n in range(1, 6):
         for w in enumerate_symmetric_group(n):
-            for layer in column_graph(w):
-                for moves in layer.values():
-                    assert len({tiles for _, tiles in moves}) == len(moves)
+            walk(w, None, extend)
+
+
+def test_walk_extends_each_state_once_s7():
+    # one extend call per reachable state of each boundary and one filling
+    # per edge, summed over S_n; the value carried is the number of partial
+    # paths, so the west edge's value is the number of tilings.  A walk that
+    # skips or repeats a state, or drops a value, miscounts
+    calls = fillings = 0
+
+    def extend(c, paths, moves, nxt):
+        nonlocal calls, fillings
+        calls += 1
+        fillings += len(moves)
+        for new, _ in moves:
+            nxt[new] = nxt.get(new, 0) + paths
+
+    got = []
+    for n in range(1, 8):
+        calls = fillings = 0
+        tilings = sum(walk(w, 1, extend) for w in enumerate_symmetric_group(n))
+        got.append((calls, fillings, tilings))
+    assert got == [
+        (1, 1, 1),
+        (4, 4, 2),
+        (20, 22, 8),
+        (133, 171, 62),
+        (1174, 1854, 912),
+        (13647, 27620, 25065),
+        (206014, 552821, 1273138),
+    ]
