@@ -5,13 +5,16 @@ the three routes), ``stats`` (cancellation statistics and sweeps),
 ``verify`` (invariant suites) and ``render`` (ASCII/SVG drawings).
 
 Exit codes: 0 success, 1 a verification failed, 2 usage or parse error,
-a size that needs ``--force`` or a run out of memory.  A reader that
-closes stdout early ends the command quietly with 0, and any other failure
-to write stdout exits 2.  Exit codes 130 (Ctrl-C) and 143 (SIGTERM) are
-set in ``qbpd.__main__``, which owns how a run stops.  Each verb, ``poly``
-mode and ``verify`` check imports only the modules it runs, when it runs.
-``--jobs`` sets the worker processes of ``stats --n`` and of every
-``verify`` check.
+a size that needs ``--force`` or a run out of memory.  Every error the
+package raises is a ``ValueError``, as are a parse error and a stdout that
+cannot encode the output: verbs raise it, and ``main`` alone writes stderr,
+one ``error:`` line per line of the message, and exits 2.  ``_write``
+writes every line of stdout.  A reader that closes stdout early ends the
+command quietly with 0, and any other failure to write stdout exits 2.
+Exit codes 130 (Ctrl-C) and 143 (SIGTERM) are set in ``qbpd.__main__``,
+which owns how a run stops.  Each verb, ``poly`` mode and ``verify`` check
+imports only the modules it runs, when it runs.  ``--jobs`` sets the
+worker processes of ``stats --n`` and of every ``verify`` check.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 from functools import partial
 from itertools import chain
 
-from .errors import NotABijection, OutOfRange, SizeLimit
+from .errors import OutOfRange, SizeLimit
 from .perm import Permutation, embed, enumerate_symmetric_group, parse_permutation
 
 USAGE_ERROR = 2
@@ -54,8 +57,7 @@ def _write(pieces, out: str | None):
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +72,8 @@ def cmd_enum(args) -> int:
     tilings = flat_diagrams(w, unpaired=args.unpaired)
     if args.out and not args.count:  # first, so a failed write prints no count
         _write(flat_text(w.n, tilings), args.out)
-    print(sum(len(sets) for _, sets in tilings))
-    if not (args.out or args.count):
-        _write(flat_text(w.n, tilings), None)
+    listing = [] if args.out or args.count else flat_text(w.n, tilings)
+    _write(chain([f"{sum(len(sets) for _, sets in tilings)}\n"], listing), None)
     return 0
 
 
@@ -81,8 +82,7 @@ def cmd_poly(args) -> int:
     families = {s.strip() for s in (args.specialize or "").split(",") if s.strip()}
     bad = families - {"y", "q"}
     if bad:
-        print(f"error: unknown specialization {sorted(bad)}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"unknown specialization {sorted(bad)}")
     if args.mode == "qbpd":
         from .analysis import qbpd_polynomial as route
     elif args.mode == "oracle":
@@ -108,8 +108,7 @@ def cmd_stats(args) -> int:
     from . import analysis
 
     if (args.n is None) == (args.perm is None):
-        print("error: give exactly one of --n or --perm", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("give exactly one of --n or --perm")
     if args.perm is not None:
         rows = [analysis.cancellation_stats(_sized_perm(args, args.perm))]
     else:
@@ -215,11 +214,10 @@ def cmd_verify(args) -> int:
     _size_guard(args, args.n)
     perms = _verify_perms(args.n, args.sample, args.seed)
     rows = map_rows(partial(_verify_row, args.check), perms, args.jobs)
-    failures = [line for _, lines in rows for line in lines]
-    for line in failures:
-        print(f"FAIL {line}")
+    failures = [f"FAIL {line}\n" for _, lines in rows for line in lines]
     status = "ok" if not failures else f"{len(failures)} failures"
-    print(f"{args.check} n={args.n}: {sum(c for c, _ in rows)} checks, {status}")
+    checks = sum(c for c, _ in rows)
+    _write([*failures, f"{args.check} n={args.n}: {checks} checks, {status}\n"], None)
     return 0 if not failures else CHECK_FAILED
 
 
@@ -239,24 +237,17 @@ def cmd_render(args) -> int:
             with open(args.target, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read {args.target}: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        try:
-            ds = [diagram_from_text(b) for b in text.split("\n\n") if b.strip()]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"cannot read {args.target}: {exc}") from None
+        ds = [diagram_from_text(b) for b in text.split("\n\n") if b.strip()]
         if not ds:
-            print(f"error: {args.target} holds no diagram", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"{args.target} holds no diagram")
         problems = [
             f"diagram {k}: {problem}"
             for k, D in enumerate(ds, 1)
             for problem in validate(D)
         ]
         if problems:
-            print("\n".join(f"error: {p}" for p in problems), file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("\n".join(problems))
         D = ds[_pick(len(ds), args.index)]
     else:
         w = _sized_perm(args, args.target)
@@ -335,18 +326,18 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (NotABijection, OutOfRange, SizeLimit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except ValueError as exc:
+        message = str(exc)
     except MemoryError:
-        pass  # reported below, once the handler has let go of the run's frames
+        message = None  # worded below, once the handler lets go of the run's frames
     except OSError as exc:
         # every file a verb opens has its own handler, so this is stdout's;
         # the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             return 0  # the reader has all it wants
-        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-        return USAGE_ERROR
-    print(f"error: {args.verb if args else 'qbpd'} ran out of memory", file=sys.stderr)
+        message = f"cannot write stdout: {exc.strerror or exc}"
+    if message is None:
+        message = f"{args.verb if args else 'qbpd'} ran out of memory"
+    print("\n".join(f"error: {line}" for line in message.split("\n")), file=sys.stderr)
     return USAGE_ERROR

@@ -53,6 +53,7 @@ class TileKind(enum.IntEnum):
 TILE_TEXT = ".RJSNHVC"  # BLANK ES WN SW NE EW NS CROSS
 CHAR_TILES = dict(zip(TILE_TEXT, TileKind))
 _KINDS = tuple(TileKind)
+_KIND_SET = frozenset(TileKind)
 # the tile kinds as plain ints, for the loops over flat grids
 _B, _ES, _WN, _SW, _NE, _EW, _NS, _X = map(int, TileKind)
 _TEXT = bytes.maketrans(bytes(_KINDS), TILE_TEXT.encode())
@@ -93,13 +94,18 @@ class Diagram(_Record):
     """An n x n tile grid plus a set of dominoes.
 
     A domino is recorded by its upper cell (r, c), 1-based, and covers the
-    vertically adjacent blank cells (r, c) and (r+1, c).
+    vertically adjacent blank cells (r, c) and (r+1, c).  Tiles that are not
+    n rows of n tile kinds raise :class:`InvalidDiagram`.
     """
 
     __slots__ = ("n", "tiles", "dominoes")
     _values = attrgetter(*__slots__)
 
     def __init__(self, n: int, tiles: tuple, dominoes: frozenset = frozenset()):
+        if len(tiles) != n or any(
+            len(row) != n or not _KIND_SET.issuperset(row) for row in tiles
+        ):
+            raise InvalidDiagram([f"tiles do not form a {n} x {n} grid of tile kinds"])
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "tiles", tiles)
         object.__setattr__(self, "dominoes", dominoes)

@@ -11,7 +11,7 @@ reflection of full length) and the transition setup data
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import IdentityPermutation, NotABijection, OutOfRange
@@ -68,7 +68,7 @@ class Permutation(_Record):
     _values = attrgetter(*__slots__)
 
     def __init__(self, images: tuple[int, ...]):
-        images = tuple(images)
+        images = tuple(map(index, images))  # a float raises TypeError
         n = len(images)
         if n < 1:
             raise NotABijection("empty one-line notation")

@@ -18,21 +18,21 @@ def resolve_jobs(jobs: int | None) -> int:
 
 
 def map_rows(fn, perms, jobs: int | None = None) -> list:
-    """``[fn(w) for w in perms]``, on ``jobs`` worker processes.
+    """``[fn(w) for w in perms]``, on ``jobs`` worker processes at most.
 
-    One job or fewer than four rows run here; otherwise workers take the
-    rows longest first, in contiguous chunks of 1/(8 jobs) of them.  Length
-    ranks cost only loosely (Spearman rho 0.69 over the S_6 stats), but no
-    order tried finishes S_6 sooner, and on ``verify`` lexicographic order
-    is within 7%.  Chunks spare a round trip per row, and at eight per
-    worker none of S_7's longest-first chunks outweighs a worker's share.
-    SIGINT or SIGTERM here leaves the pool's block, which terminates the
-    workers.  A worker whose parent dies outright ends within a second of
-    that death, however early it comes, since it knows its parent's pid
-    from the fork.
+    One job or fewer than four rows run here; otherwise one worker per row,
+    up to ``jobs``, takes the rows longest first, in contiguous chunks of
+    1/(8 jobs) of them.  Length ranks cost only loosely (Spearman rho 0.69
+    over the S_6 stats), but no order tried finishes S_6 sooner, and on
+    ``verify`` lexicographic order is within 7%.  Chunks spare a round
+    trip per row, and at eight per worker none of S_7's longest-first
+    chunks outweighs a worker's share.  SIGINT or SIGTERM here leaves the
+    pool's block, which terminates the workers.  A worker whose parent
+    dies outright ends within a second of that death, however early it
+    comes, since it knows its parent's pid from the fork.
     """
     perms = list(perms)
-    jobs = resolve_jobs(jobs)
+    jobs = min(resolve_jobs(jobs), len(perms))
     if jobs == 1 or len(perms) < 4:
         return list(map(fn, perms))
     import multiprocessing

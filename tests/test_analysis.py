@@ -257,6 +257,22 @@ def test_map_rows_hands_the_pool_few_tasks(monkeypatch):
     assert len(chunks) == 1 and -(-720 // chunks[0]) <= 16
 
 
+def test_map_rows_starts_no_more_workers_than_rows(monkeypatch):
+    import multiprocessing.context
+
+    processes = []
+    pool = multiprocessing.context.ForkContext.Pool
+
+    def spy(self, n=None, *args, **kwargs):
+        processes.append(n)
+        return pool(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool", spy)
+    perms = S6_SHUFFLED[:4]
+    assert map_rows(length, perms, 6) == [length(w) for w in perms]
+    assert processes == [4]
+
+
 def test_stats_for_group_rows_are_records_from_workers():
     # a NamedTuple equals a plain tuple, so the equality above misses the type
     for s in stats_for_group(5, jobs=2):

@@ -1050,3 +1050,89 @@ def test_workers_end_after_parent_is_killed(command, method, delay):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+
+PACKAGE_ERRORS = [
+    ("NotABijection", ("(1, 1) is not a bijection of 1..2",)),
+    ("OutOfRange", ("index 9 out of range 1..5",)),
+    ("IdentityPermutation", ("transition setup needs a non-identity input",)),
+    ("AmbientMismatch", ("ambient sizes 3 and 4 differ",)),
+    ("InvalidDiagram", (["pipe 1 stuck at (2,3): no segment on side N"],)),
+    ("HasDominoes", ("domino pairings start from an unpaired diagram",)),
+    ("SizeLimit", ("poly with n = 8 > 7 must be forced with --force",)),
+]
+
+
+def test_package_errors_are_all_listed():
+    import qbpd.errors
+
+    errors = {
+        name
+        for name, value in vars(qbpd.errors).items()
+        if isinstance(value, type) and issubclass(value, ValueError)
+    }
+    assert errors == {name for name, _ in PACKAGE_ERRORS}
+
+
+@pytest.mark.parametrize(
+    "name, args", PACKAGE_ERRORS, ids=[name for name, _ in PACKAGE_ERRORS]
+)
+def test_every_package_error_is_one_error_line(capsys, monkeypatch, name, args):
+    import qbpd.cli
+    import qbpd.errors
+
+    error = getattr(qbpd.errors, name)(*args)
+
+    def verb(args):
+        raise error
+
+    monkeypatch.setattr(qbpd.cli, "cmd_poly", verb)
+    code, out, err = run(capsys, "poly", "21")
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "message, lines",
+    [
+        ("first\nsecond", "error: first\nerror: second\n"),
+        ("", "error: \n"),
+    ],
+    ids=["two-lines", "no-message"],
+)
+def test_error_line_per_message_line(capsys, monkeypatch, message, lines):
+    import qbpd.cli
+
+    def verb(args):
+        raise ValueError(message)
+
+    monkeypatch.setattr(qbpd.cli, "cmd_stats", verb)
+    assert run(capsys, "stats", "--n", "3") == (2, "", lines)
+
+
+def test_diagram_file_problems_are_one_line_each(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("3\nRRR\nRRR\nRRR\n")
+    code, out, err = run(capsys, "render", str(path))
+    lines = err.splitlines()
+    assert (code, out) == (2, "") and len(lines) > 1
+    assert all(line.startswith("error: diagram 1: ") for line in lines)
+
+
+def test_stdout_that_cannot_encode_exits_2():
+    # render draws with box-drawing characters, which ASCII cannot encode
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qbpd
+
+    src = str(Path(qbpd.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "qbpd", "render", "21"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii"),
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: 'ascii' codec can't encode")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr

@@ -290,7 +290,7 @@ def test_diagram_is_a_frozen_record():
     paired = Diagram(n=2, tiles=D.tiles, dominoes=frozenset({(1, 1)}))
     assert repr(paired).endswith(", dominoes=frozenset({(1, 1)}))")
     assert D == Diagram(2, D.tiles) == Diagram(2, D.tiles, frozenset())
-    assert D != paired and D != Diagram(3, D.tiles)
+    assert D != paired and D != rothe_diagram(make_permutation([1, 2]))
     assert hash(D) == hash(Diagram(2, D.tiles)) == hash((2, D.tiles, frozenset()))
     assert D != (2, D.tiles, frozenset())
     assert len({D, Diagram(2, D.tiles), paired}) == 2
@@ -302,4 +302,23 @@ def test_diagram_is_a_frozen_record():
     for E in (D, paired):
         again = pickle.loads(pickle.dumps(E))
         assert again == E and type(again) is Diagram
+
+
+@pytest.mark.parametrize(
+    "n, tiles",
+    [
+        (2, ((T.ES,),)),  # one row of one tile
+        (1, ((9,),)),  # no tile kind 9
+        (3, ((T.BLANK, T.ES), (T.ES, T.CROSS))),  # a 2 x 2 grid
+        (2, ((T.ES, T.EW), (T.ES,))),  # a short row
+        (1, ("R",)),  # a character, not a tile kind
+    ],
+    ids=["short-grid", "unknown-kind", "n-too-large", "short-row", "text-row"],
+)
+def test_malformed_tiles_raise_invalid_diagram(n, tiles):
+    # validate would otherwise index past the grid or past ROUTE
+    with pytest.raises(InvalidDiagram) as info:
+        Diagram(n=n, tiles=tiles)
+    message = f"tiles do not form a {n} x {n} grid of tile kinds"
+    assert info.value.violations == [message]
 

@@ -179,6 +179,17 @@ def test_permutation_is_a_frozen_record():
         Permutation((1, 1))
 
 
+def test_images_are_ints():
+    # a float or a bool used to reach to_text as '1.02.0' or 'True2'
+    with pytest.raises(TypeError):
+        Permutation((1.0, 2.0))
+    w = Permutation((True, 2))
+    assert w.images == (1, 2) and all(type(v) is int for v in w.images)
+    assert w.to_text() == "12" and w == Permutation((1, 2))
+    assert make_permutation([2.0, 1.0]).to_text() == "21"
+    assert parse_permutation("2,1").to_text() == "21"
+
+
 def test_transition_data_fields():
     assert TransitionData._fields == ("n", "a", "b", "m", "sigma")
     td = transition_setup(make_permutation([3, 4, 2, 1]))
