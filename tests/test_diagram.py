@@ -321,4 +321,3 @@ def test_malformed_tiles_raise_invalid_diagram(n, tiles):
         Diagram(n=n, tiles=tiles)
     message = f"tiles do not form a {n} x {n} grid of tile kinds"
     assert info.value.violations == [message]
-

@@ -180,7 +180,7 @@ def test_permutation_is_a_frozen_record():
 
 
 def test_images_are_ints():
-    # a float or a bool used to reach to_text as '1.02.0' or 'True2'
+    # to_text must show neither a float ('1.02.0') nor a bool ('True2')
     with pytest.raises(TypeError):
         Permutation((1.0, 2.0))
     w = Permutation((True, 2))
