@@ -31,7 +31,7 @@ _NAMES = {
     "polyring": "Poly",
 }
 _EXPORTS = {name: mod for mod, names in _NAMES.items() for name in names.split()}
-_SUBMODULES = {*_NAMES, "cli", "columns", "errors", "render"}
+_SUBMODULES = {*_NAMES, "cli", "columns", "errors", "render", "rows"}
 
 __all__ = [*_EXPORTS, "__version__"]
 

@@ -90,18 +90,27 @@ SEGMENTS = tuple(
 _EXPECTED_USAGE = bytes((0, 1, 0x11)[len(s)] for s in SEGMENTS).ljust(256, b"\0")
 
 
+_PAIR = [int, int]  # the types of a domino's row and column
+
+
 class Diagram(_Record):
     """An n x n tile grid plus a set of dominoes.
 
     A domino is recorded by its upper cell (r, c), 1-based, and covers the
-    vertically adjacent blank cells (r, c) and (r+1, c).  Tiles that are not
-    n rows of n tile kinds raise :class:`InvalidDiagram`.
+    vertically adjacent blank cells (r, c) and (r+1, c).  A size that is not
+    an int, tiles that are not n rows of n tile kinds and a domino that is
+    not a pair of ints raise :class:`InvalidDiagram`.
     """
 
     __slots__ = ("n", "tiles", "dominoes")
     _values = attrgetter(*__slots__)
 
     def __init__(self, n: int, tiles: tuple, dominoes: frozenset = frozenset()):
+        if type(n) is not int:  # a bool or float would show in the text
+            raise InvalidDiagram([f"size {n!r} is not an int"])
+        bad = [d for d in dominoes if type(d) is not tuple or [*map(type, d)] != _PAIR]
+        if bad:
+            raise InvalidDiagram([f"domino {d!r} is not a pair of ints" for d in bad])
         if len(tiles) != n or any(
             len(row) != n or not _KIND_SET.issuperset(row) for row in tiles
         ):

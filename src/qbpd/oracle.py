@@ -1,8 +1,9 @@
 """Algebraic computation of (quantum) (double) Schubert polynomials.
 
 Two independent routes are provided for the quantum double family, each
-with one memo for the life of the process, keyed by one-line notation
-trimmed of trailing fixed points so that embedded copies share entries:
+with one memo for the life of the process.  Each runs in S_m, m the last
+point w moves, and changes size only on exit, into the ambient size of w
+(the family is stable), so embedded copies share entries:
 
 * the defining formula: the top polynomial for the longest permutation is
   a product of quantum elementary polynomials E_k^k, each the determinant
@@ -13,13 +14,11 @@ trimmed of trailing fixed points so that embedded copies share entries:
   chain keeps blocks with disjoint y indices, and by the Leibniz rule
   d_j(f g) = d_j(f) g for g free of y_j and y_{j+1}, each d_j multiplies
   and divides only the blocks holding one of them; the blocks are
-  multiplied once, at the end.  The chain runs in S_m, m the last point
-  w moves, and its blocks are embedded into the ambient size of w (the
-  family is stable), as the transition route does;
+  multiplied once, at the end, after each is embedded;
 * the transition recursion, which rewrites the polynomial of w in terms of
-  polynomials of permutations that are smaller in the termination order
-  (largest moved point, then position of its preimage), whose
-  corrections are quantum Monk terms (``_monk_terms``).
+  polynomials of permutations of the same size that are smaller in the
+  termination order (largest moved point, then position of its
+  preimage), whose corrections are quantum Monk terms (``_monk_terms``).
 
 The classical double Schubert polynomials are the quantum ones at q = 0.
 A Monk's-rule residual checker evaluates left minus right hand side of the
@@ -159,20 +158,18 @@ def monk_residual(k: int, w: Permutation) -> Poly:
 def quantum_double_schubert_transition(w: Permutation) -> Poly:
     """Quantum double Schubert polynomial of w via the transition recursion.
 
-    Results are memoized by one-line notation trimmed of trailing fixed
-    points, so embedded copies share cache entries; the returned value is
-    embedded into the ambient size of w.
+    The recursion runs in S_m, m the last point w moves, memoized by
+    permutation, so embedded copies share entries; the result is embedded
+    once, into the ambient size of w.
     """
-    return _transition_rec(w.trimmed_images()).embed(w.n)
+    return _transition_rec(Permutation(w.trimmed_images())).embed(w.n)
 
 
 @lru_cache(maxsize=None)
-def _transition_rec(images: tuple[int, ...]) -> Poly:
-    m = len(images)
-    pi = make_permutation(images)
+def _transition_rec(pi: Permutation) -> Poly:
     if pi.is_identity():
-        return Poly.one(m)
-    return transition_rhs(pi, lambda p: _transition_rec(p.trimmed_images()).embed(m))
+        return Poly.one(pi.n)
+    return transition_rhs(pi, _transition_rec)
 
 
 def transition_rhs(pi: Permutation, T) -> Poly:

@@ -112,13 +112,24 @@ class Permutation(_Record):
         return self.to_text()
 
 
+def _as_int(v) -> int:
+    """v as an int, when v equals one (2, 2.0 and True do; 2.9 and "2" do not)."""
+    try:
+        i = int(v)
+        if i == v:
+            return i
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise NotABijection(f"image {v!r} is not an integer")
+
+
 def make_permutation(images: Sequence[int]) -> Permutation:
     """Validate one-line notation and build a :class:`Permutation`.
 
     >>> make_permutation([4, 2, 1, 3]).images
     (4, 2, 1, 3)
     """
-    return Permutation(tuple(int(v) for v in images))
+    return Permutation(tuple(map(_as_int, images)))
 
 
 def parse_permutation(text: str) -> Permutation:

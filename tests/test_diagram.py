@@ -321,3 +321,20 @@ def test_malformed_tiles_raise_invalid_diagram(n, tiles):
         Diagram(n=n, tiles=tiles)
     message = f"tiles do not form a {n} x {n} grid of tile kinds"
     assert info.value.violations == [message]
+
+
+@pytest.mark.parametrize(
+    "n, dominoes, message",
+    [
+        (2.0, (), "size 2.0 is not an int"),
+        (2, {(1,)}, "domino (1,) is not a pair of ints"),
+        (2, {("a", "b")}, "domino ('a', 'b') is not a pair of ints"),
+    ],
+    ids=["float-size", "short-domino", "text-domino"],
+)
+def test_malformed_size_or_dominoes_raise_invalid_diagram(n, dominoes, message):
+    # validate would otherwise fail in the tracer or the domino checks
+    tiles = rothe_diagram(make_permutation([2, 1])).tiles
+    with pytest.raises(InvalidDiagram) as info:
+        Diagram(n=n, tiles=tiles, dominoes=frozenset(dominoes))
+    assert info.value.violations == [message]

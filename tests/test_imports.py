@@ -97,6 +97,19 @@ def test_every_exported_name_resolves():
     assert qbpd.polyring.Poly is qbpd.Poly
 
 
+def test_every_submodule_resolves_from_the_package():
+    # each in a fresh process, where no other submodule has imported it
+    names = [m.name for m in pkgutil.iter_modules(qbpd.__path__)]
+    failed = []
+    for name in names:
+        if name != "__main__":
+            try:
+                loaded_after(f"import qbpd; qbpd.{name}", ("qbpd.",))
+            except subprocess.CalledProcessError:
+                failed.append(name)
+    assert failed == []
+
+
 def test_move_lookup_pipe_records_and_embedding_are_not_exported():
     removed = """PipeStep PipeTrace RectMove apply_droop apply_lift embed_diagram
         restrict_diagram trace_pipes wt is_cancellation_free is_classical_bpd

@@ -318,6 +318,27 @@ def test_embedded_copies_share_memo_entries(row):
         assert memo.cache_info().misses == misses, route.__name__
 
 
+def test_transition_recursion_stays_in_the_rows_size(monkeypatch):
+    # the equation reaches only permutations of its input's size, so the
+    # recursion looks up permutations of S_6 alone and embeds on exit only
+    from qbpd import oracle
+
+    memo = oracle._transition_rec
+    memo.cache_clear()
+    keys, sizes, real_embed = [], [], Poly.embed
+    lookup = lambda pi: keys.append(pi) or memo(pi)
+    monkeypatch.setattr(oracle, "_transition_rec", lookup)
+    monkeypatch.setattr(Poly, "embed", lambda p, N: sizes.append(N) or real_embed(p, N))
+    w = make_permutation([4, 2, 6, 5, 3, 1])
+    small = quantum_double_schubert_transition(w)
+    assert sizes == [6]
+    big = quantum_double_schubert_transition(embed(w, 8))
+    assert sizes == [6, 8]
+    assert {(type(k), k.n) for k in keys} == {(type(w), 6)}
+    assert memo.cache_info().currsize == len(set(keys)) > 1
+    assert big == real_embed(small, 8)
+
+
 def test_three_routes_agree_on_an_s7_row():
     from qbpd.analysis import qbpd_polynomial
 

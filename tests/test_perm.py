@@ -187,6 +187,8 @@ def test_images_are_ints():
     assert w.images == (1, 2) and all(type(v) is int for v in w.images)
     assert w.to_text() == "12" and w == Permutation((1, 2))
     assert make_permutation([2.0, 1.0]).to_text() == "21"
+    with pytest.raises(NotABijection, match="2.9"):
+        make_permutation([2.9, 1.2])
     assert parse_permutation("2,1").to_text() == "21"
 
 
